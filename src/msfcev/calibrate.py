@@ -11,8 +11,9 @@ per model are
     mfcev, msfcev sigma, alpha, hurst
 
 The optimizer is multi-start Nelder-Mead on a logistic reparameterization
-of the bounded box, with low-discrepancy starting points, deterministic
-for a given seed.
+of the bounded box, with low-discrepancy starting points, followed by a
+trust-region least-squares polish of the best start on the price
+residuals; deterministic for a given seed.
 """
 
 from __future__ import annotations
@@ -258,6 +259,13 @@ def _groups(quotes) -> list:
     return out
 
 
+def _residuals(model_name: str, names, vector, groups) -> np.ndarray:
+    """Model price minus mid price for every quote, group by group."""
+    model = build_model(model_name, dict(zip(names, vector)))
+    return np.concatenate([call_prices(model, env, maturity, strikes) - mids
+                           for maturity, env, strikes, mids in groups])
+
+
 def _objective(model_name: str, names, vector, groups, n_quotes: int) -> float:
     values = dict(zip(names, vector))
     for name, val in values.items():
@@ -265,12 +273,8 @@ def _objective(model_name: str, names, vector, groups, n_quotes: int) -> float:
         if not lo <= val <= hi:
             return math.inf
     try:
-        model = build_model(model_name, values)
-        sse = 0.0
-        for maturity, env, strikes, mids in groups:
-            prices = call_prices(model, env, maturity, strikes)
-            sse += float(np.sum((prices - mids) ** 2))
-        return sse / n_quotes
+        res = _residuals(model_name, names, vector, groups)
+        return float(np.sum(res ** 2)) / n_quotes
     except (DomainError, FloatingPointError) as exc:
         log.warning("objective rejected %s at %s: %s", model_name, values, exc)
         return math.inf
@@ -300,15 +304,32 @@ def _box(names):
 
 def _fit_vector(model_name: str, names, groups, n_quotes: int,
                 cfg: OptimizerConfig):
-    """Multi-start Nelder-Mead in logistic coordinates; returns best fit."""
+    """Multi-start Nelder-Mead plus a least-squares polish; returns best fit.
+
+    Each start runs Nelder-Mead on the MSE in logistic coordinates.  The
+    best start is polished by trust-region least squares on the residual
+    vector ``(prices - mids) / sqrt(n_quotes)``, whose sum of squares is
+    the MSE, with at most ``cfg.polish_maxiter`` residual evaluations (the
+    finite-difference Jacobian's are not counted).  The start's result is
+    kept when the polish fails or does not improve on it.
+
+    Returns ``(params, mse, iterations, converged)``: ``iterations`` is the
+    Nelder-Mead iterations of every start plus the residual evaluations of
+    the polish; ``converged`` is the polish's own verdict (a least-squares
+    tolerance was met), or the best start's if the polish left the domain.
+    """
     lo, hi = _box(names)
     span = hi - lo
+    scale = 1.0 / math.sqrt(n_quotes)
 
     def to_params(u):
         return lo + span * expit(u)
 
     def objective_u(u):
         return _objective(model_name, names, to_params(u), groups, n_quotes)
+
+    def residuals_u(u):
+        return scale * _residuals(model_name, names, to_params(u), groups)
 
     sampler = qmc.Sobol(d=len(names), scramble=True, seed=cfg.seed)
     with warnings.catch_warnings():
@@ -331,16 +352,21 @@ def _fit_vector(model_name: str, names, groups, n_quotes: int,
     if best is None:
         raise CalibrationError(
             f"no optimizer start produced a finite objective for {model_name}")
-    polish = optimize.minimize(objective_u, best.x, method="Nelder-Mead",
-                               options={"maxiter": cfg.polish_maxiter,
-                                        "xatol": cfg.xatol,
-                                        "fatol": cfg.fatol,
-                                        "adaptive": len(names) > 2})
-    iterations += polish.nit
-    if math.isfinite(polish.fun) and polish.fun <= best.fun:
-        best = polish
-    params = np.clip(to_params(best.x), lo, hi)
-    return params, float(best.fun), iterations, bool(best.success)
+    u_best, mse, converged = best.x, float(best.fun), bool(best.success)
+    try:
+        polish = optimize.least_squares(residuals_u, best.x, method="trf",
+                                        max_nfev=cfg.polish_maxiter)
+    except (DomainError, FloatingPointError) as exc:
+        log.warning("least-squares polish of %s left the domain: %s",
+                    model_name, exc)
+    else:
+        iterations += polish.nfev
+        converged = polish.status > 0
+        polish_mse = 2.0 * float(polish.cost)
+        if math.isfinite(polish_mse) and polish_mse <= mse:
+            u_best, mse = polish.x, polish_mse
+    params = np.clip(to_params(u_best), lo, hi)
+    return params, mse, iterations, converged
 
 
 def _per_maturity_mse(model_name, values, groups) -> dict:

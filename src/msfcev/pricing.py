@@ -40,7 +40,6 @@ from scipy import integrate
 from . import specfun
 from .errors import DomainError
 from .process import MixedDriverParams
-from .specfun import Tolerance
 
 __all__ = [
     "Family",
@@ -63,8 +62,18 @@ __all__ = [
 ]
 
 _ALPHA_MAX = 2.0 - 1e-6
-# chi-squared mixtures near alpha -> 2 need wide Poisson windows
-_CHI2_TOL = Tolerance(abs_tol=1e-13, rel_tol=1e-12, max_terms=2_000_000)
+
+
+def _check_finite(**values) -> None:
+    """Reject NaN and infinite scalar inputs where they enter."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")
+
+
+def _check_maturity(maturity: float) -> None:
+    if not 0.0 < maturity < math.inf:
+        raise DomainError(f"maturity must be positive and finite, got {maturity!r}")
 
 
 class Family(str, Enum):
@@ -106,6 +115,9 @@ class ModelSpec:
     driver_params: MixedDriverParams
 
     def __post_init__(self) -> None:
+        p = self.driver_params
+        _check_finite(sigma=self.sigma, alpha=self.alpha, hurst=p.hurst,
+                      beta=p.beta, gamma=p.gamma)
         if self.sigma <= 0.0:
             raise DomainError(f"sigma must be positive, got {self.sigma!r}")
         if self.family == Family.CEV:
@@ -114,7 +126,6 @@ class ModelSpec:
                     f"alpha must lie in [0, {_ALPHA_MAX}], got {self.alpha!r}")
         else:
             object.__setattr__(self, "alpha", 2.0)
-        p = self.driver_params
         if self.driver == Driver.CLASSICAL:
             beta_eff = math.hypot(p.beta, p.gamma)
             object.__setattr__(
@@ -140,6 +151,7 @@ class ModelSpec:
         except KeyError:
             raise DomainError(
                 f"unknown model {name!r}; choose from {sorted(MODEL_NAMES)}") from None
+        _check_finite(hurst=hurst)  # classical names drop it below
         if beta is None:
             beta = 1.0
         if gamma is None:
@@ -166,6 +178,7 @@ class MarketEnv:
     spot: float
 
     def __post_init__(self) -> None:
+        _check_finite(rate=self.rate, spot=self.spot)
         if self.rate < 0.0:
             raise DomainError(f"rate must be >= 0, got {self.rate!r}")
         if self.spot <= 0.0:
@@ -247,8 +260,7 @@ def effective_variance(model: ModelSpec, env: MarketEnv, maturity: float) -> flo
     r = 0 (where both M terms equal 1) and needs no series switch.
     """
     _check_cev(model)
-    if maturity <= 0.0:
-        raise DomainError(f"maturity must be positive, got {maturity!r}")
+    _check_maturity(maturity)
     p = model.driver_params
     a = model.alpha
     z = (2.0 - a) * env.rate * maturity
@@ -265,8 +277,7 @@ def effective_variance_quadrature(model: ModelSpec, env: MarketEnv,
                                   maturity: float) -> float:
     """Phi(T) by adaptive quadrature of its defining integral (oracle path)."""
     _check_cev(model)
-    if maturity <= 0.0:
-        raise DomainError(f"maturity must be positive, got {maturity!r}")
+    _check_maturity(maturity)
     p = model.driver_params
     a = model.alpha
     c = (2.0 - a) * env.rate
@@ -286,8 +297,8 @@ def effective_variance_quadrature(model: ModelSpec, env: MarketEnv,
 def cev_intermediates(model: ModelSpec, env: MarketEnv, maturity: float,
                       strike: float) -> PricingIntermediates:
     """Chi-squared coordinates k_s, y_s, z_s for one evaluation."""
-    if strike <= 0.0:
-        raise DomainError(f"strike must be positive, got {strike!r}")
+    if not 0.0 < strike < math.inf:
+        raise DomainError(f"strike must be positive and finite, got {strike!r}")
     phi = effective_variance(model, env, maturity)
     a = model.alpha
     k_s = 1.0 / phi
@@ -309,11 +320,10 @@ def transition_density(model: ModelSpec, env: MarketEnv, maturity: float,
     finite even where exp(-y-w) underflows and I_nu overflows.
     """
     _check_cev(model)
-    if maturity <= 0.0:
-        raise DomainError(f"maturity must be positive, got {maturity!r}")
+    _check_maturity(maturity)
     s_t = np.asarray(terminal_price, dtype=np.float64)
-    if np.any(s_t <= 0.0):
-        raise DomainError("terminal price must be positive")
+    if not np.all((s_t > 0.0) & np.isfinite(s_t)):
+        raise DomainError("terminal price must be positive and finite")
     ints = cev_intermediates(model, env, maturity, strike=1.0)
     a = model.alpha
     nu = 1.0 / (2.0 - a)
@@ -321,9 +331,7 @@ def transition_density(model: ModelSpec, env: MarketEnv, maturity: float,
     w = k_s * s_t ** (2.0 - a)
     sqrt_y = math.sqrt(y_s)
     sqrt_w = np.sqrt(w)
-    arg = 2.0 * sqrt_y * sqrt_w
-    ive = np.array([specfun.bessel_i_scaled(nu, float(v)) for v in np.atleast_1d(arg)])
-    ive = ive.reshape(np.shape(arg)) if np.ndim(arg) else float(ive[0])
+    ive = specfun.bessel_i_scaled(nu, 2.0 * sqrt_y * sqrt_w)
     log_pref = (math.log(2.0 - a) + nu * math.log(k_s)
                 + 0.5 * nu * (math.log(y_s) + (1.0 - 2.0 * a) * np.log(w)))
     # exp(-y - w) I_nu(2 sqrt(y w)) = ive * exp(-(sqrt y - sqrt w)^2)
@@ -360,12 +368,16 @@ def _assemble_call(spot: float, discounted_strike, sf1, cdf1, sf2, cdf2):
 
 def call_prices(model: ModelSpec, env: MarketEnv, maturity: float,
                 strikes) -> np.ndarray:
-    """European call prices for an array of strikes at one maturity."""
-    if maturity <= 0.0:
-        raise DomainError(f"maturity must be positive, got {maturity!r}")
+    """European call prices for an array of strikes at one maturity.
+
+    A CEV slice is one vectorised chi-squared evaluation: the Q1 side
+    ``(2z, df1, 2y)`` and the Q2 side ``(2y, df0, 2z)`` of every strike go
+    through :func:`specfun.chi2_noncentral_sf_cdf` together.
+    """
+    _check_maturity(maturity)
     ks = np.atleast_1d(np.asarray(strikes, dtype=np.float64))
-    if np.any(ks <= 0.0):
-        raise DomainError("strikes must be positive")
+    if not np.all((ks > 0.0) & np.isfinite(ks)):
+        raise DomainError("strikes must be positive and finite")
     disc = math.exp(-env.rate * maturity)
     if model.family == Family.BS:
         v = model.sigma ** 2 * driver_variance(model.driver,
@@ -379,13 +391,13 @@ def call_prices(model: ModelSpec, env: MarketEnv, maturity: float,
     z = k_s * ks ** (2.0 - a)
     df0 = 2.0 / (2.0 - a)
     df1 = 2.0 + df0
-    # Q1 side: argument varies with strike, non-centrality shared
-    sf1, cdf1 = specfun.chi2_noncentral_sf_cdf(2.0 * z, df1, 2.0 * y_s,
-                                               tol=_CHI2_TOL)
-    # Q2 side: argument shared, non-centrality varies with strike
-    sf2, cdf2 = specfun.chi2_noncentral_sf_cdf(2.0 * y_s, df0, 2.0 * z,
-                                               tol=_CHI2_TOL)
-    return _assemble_call(env.spot, disc * ks, sf1, cdf1, sf2, cdf2)
+    n = ks.size
+    two_y = np.full(n, 2.0 * y_s)
+    sf, cdf = specfun.chi2_noncentral_sf_cdf(
+        np.concatenate((2.0 * z, two_y)),
+        np.repeat((df1, df0), n),
+        np.concatenate((two_y, 2.0 * z)))
+    return _assemble_call(env.spot, disc * ks, sf[:n], cdf[:n], sf[n:], cdf[n:])
 
 
 def call_price(model: ModelSpec, env: MarketEnv, maturity: float,

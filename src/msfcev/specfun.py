@@ -1,6 +1,6 @@
 """Special-function kernel.
 
-Scalar implementations of the functions the pricing engine rests on:
+Domain-checked functions the pricing engine rests on:
 
 * ``log_gamma``            -- log of the gamma function on the positive axis,
 * ``bessel_i``             -- modified Bessel function of the first kind,
@@ -12,10 +12,13 @@ Scalar implementations of the functions the pricing engine rests on:
 * ``chi2_noncentral_sf``   -- survival function of the non-central
   chi-squared distribution, plus its complementary ``chi2_noncentral_cdf``.
 
-Everything here is pure and reentrant.  Accuracy targets: 1e-10 relative
-for the Bessel and Kummer families on the documented ranges, 1e-12
-absolute for the non-central chi-squared tail probabilities at moderate
-non-centrality.
+The Bessel and chi-squared functions broadcast over array arguments and
+evaluate through scipy's vectorised ufuncs: ``scipy.special.ive`` (Amos)
+for Bessel I, and for the chi-squared tails ``scipy.stats.ncx2.sf`` and
+``scipy.special.chndtr`` (both Boost), each of which keeps relative
+accuracy in its own tail.  ``kummer_m`` sums its defining series.
+
+Everything here is pure and reentrant.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special, stats
 
 from .errors import ConvergenceError, DomainError
 
@@ -41,15 +45,10 @@ __all__ = [
     "chi2_noncentral_sf_cdf",
 ]
 
-_EPS = 2.220446049250313e-16
-_LOG_TINY = -745.0  # below exp() underflow
-_CF_BIG = 4.503599627370496e15
-_CF_BIGINV = 2.220446049250313e-16
-
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Termination control for the series and mixtures in this module."""
+    """Termination control for the Kummer series in this module."""
 
     abs_tol: float = 1e-13
     rel_tol: float = 1e-12
@@ -76,125 +75,65 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
+def _checked(value, ok, message: str):
+    """``value`` as a float or float64 array, with ``DomainError`` where ``ok`` fails.
+
+    Scalars stay Python floats: numpy's per-call overhead on 0-d arrays
+    would dominate the scalar calls that quadrature makes.
+    """
+    if np.ndim(value) == 0:
+        v = float(value)
+        if not ok(v):
+            raise DomainError(f"{message}, got {v!r}")
+        return v
+    v = np.asarray(value, dtype=np.float64)
+    good = ok(v)
+    if not good.all():
+        raise DomainError(f"{message}, got {float(v[~good][0])!r}")
+    return v
+
+
+def _finite_non_negative(v):
+    return (v >= 0.0) & (v < math.inf)
+
+
+def _float_if_scalar(out):
+    """A ufunc result as a float when every argument was a scalar."""
+    return float(out) if np.ndim(out) == 0 else out
+
+
 # ---------------------------------------------------------------------------
 # Modified Bessel function I_nu
 # ---------------------------------------------------------------------------
 
-def _log_bessel_i_series(order: float, z: float, max_terms: int) -> float:
-    """Log of the ascending series for I_nu(z), anchored at its largest term.
+def _bessel_args(order, z):
+    return (_checked(order, lambda v: v >= 0.0, "bessel_i requires order >= 0"),
+            _checked(z, _finite_non_negative, "bessel_i requires finite z >= 0"))
 
-    The series sum_k (z/2)^(nu+2k) / (k! Gamma(nu+k+1)) has positive terms
-    only, so summing outward from the peak index gives full relative
-    accuracy with no cancellation and no overflow for any (nu, z) in the
-    supported domain.
+
+def bessel_i_scaled(order, z):
+    """Return ``exp(-z) * I_order(z)``, broadcast over both arguments.
+
+    The scaled form stays bounded for all admissible inputs, which is what
+    the transition density needs.
     """
-    h = 0.5 * z
-    h2 = h * h
-    # peak index: k*(k+nu) ~ (z/2)^2
-    km = int(max(0.0, 0.5 * (-order + math.sqrt(order * order + 4.0 * h2))))
-    total = 1.0
-    term = 1.0
-    k = km
-    used = 0
-    while True:
-        k += 1
-        used += 1
-        term *= h2 / (k * (k + order))
-        total += term
-        if term <= total * 1e-17:
-            break
-        if used >= max_terms:
-            raise ConvergenceError(
-                f"bessel_i series for (order={order}, z={z}) did not converge "
-                f"in {max_terms} terms")
-    term = 1.0
-    k = km
-    while k > 0:  # terms decay monotonically below the peak
-        term *= k * (k + order) / h2
-        total += term
-        if term <= total * 1e-17:
-            break
-        k -= 1
-    log_peak = (2 * km + order) * math.log(h) \
-        - math.lgamma(km + 1.0) - math.lgamma(km + order + 1.0)
-    return log_peak + math.log(total)
+    return _float_if_scalar(special.ive(*_bessel_args(order, z)))
 
 
-def _bessel_ive_asymptotic(order: float, z: float, rel_tol: float):
-    """Hankel large-argument expansion of exp(-z) I_nu(z).
+def log_bessel_i(order, z):
+    """Return ``ln I_order(z)``.
 
-    Returns ``None`` when the truncated expansion cannot reach ``rel_tol``
-    (terms start growing before falling below tolerance), which happens
-    once ``order**2`` is comparable with ``z``; callers then fall back to
-    the ascending series.
+    ``-inf`` at z = 0 for positive order, and wherever the scaled value
+    ``exp(-z) I_order(z)`` underflows (order in the thousands at small z).
     """
-    mu = 4.0 * order * order
-    s = 1.0
-    term = 1.0
-    for k in range(1, 64):
-        factor = (mu - (2 * k - 1.0) ** 2) / (8.0 * z * k)
-        new_term = -term * factor
-        if abs(new_term) >= abs(term):
-            if abs(term) <= rel_tol * abs(s):
-                break
-            return None
-        term = new_term
-        s += term
-        if abs(term) <= rel_tol * abs(s):
-            break
-    else:
-        return None
-    return s / math.sqrt(2.0 * math.pi * z)
+    o, zz = _bessel_args(order, z)
+    with np.errstate(divide="ignore"):
+        return _float_if_scalar(np.log(special.ive(o, zz)) + zz)
 
 
-def _check_bessel_args(order: float, z: float) -> None:
-    if order < 0.0 or math.isnan(order):
-        raise DomainError(f"bessel_i requires order >= 0, got {order!r}")
-    if z < 0.0 or not math.isfinite(z):
-        raise DomainError(f"bessel_i requires finite z >= 0, got {z!r}")
-
-
-def bessel_i_scaled(order: float, z: float,
-                    tol: Tolerance = DEFAULT_TOLERANCE) -> float:
-    """Return ``exp(-z) * I_order(z)``.
-
-    Uses the Hankel expansion for large arguments (z above max(30, 2*order)
-    and small enough order for the expansion to converge) and the ascending
-    series elsewhere.  The scaled form stays bounded for all admissible
-    inputs, which is what the transition density needs.
-    """
-    _check_bessel_args(order, z)
-    if z == 0.0:
-        return 1.0 if order == 0.0 else 0.0
-    if z >= max(30.0, 2.0 * order):
-        asym = _bessel_ive_asymptotic(order, z, min(tol.rel_tol, 1e-12))
-        if asym is not None:
-            return asym
-    return math.exp(_log_bessel_i_series(order, z, tol.max_terms) - z)
-
-
-def log_bessel_i(order: float, z: float,
-                 tol: Tolerance = DEFAULT_TOLERANCE) -> float:
-    """Return ``ln I_order(z)`` (``-inf`` at z = 0 for positive order)."""
-    _check_bessel_args(order, z)
-    if z == 0.0:
-        return 0.0 if order == 0.0 else -math.inf
-    if z >= max(30.0, 2.0 * order):
-        asym = _bessel_ive_asymptotic(order, z, min(tol.rel_tol, 1e-12))
-        if asym is not None:
-            return math.log(asym) + z
-    return _log_bessel_i_series(order, z, tol.max_terms)
-
-
-def bessel_i(order: float, z: float,
-             tol: Tolerance = DEFAULT_TOLERANCE) -> float:
+def bessel_i(order, z):
     """Return ``I_order(z)``; overflows to ``inf`` only past z ~ 713."""
-    logval = log_bessel_i(order, z, tol)
-    if logval == -math.inf:
-        return 0.0
-    if logval > 709.0:
-        return math.inf
-    return math.exp(logval)
+    return _float_if_scalar(special.iv(*_bessel_args(order, z)))
 
 
 # ---------------------------------------------------------------------------
@@ -244,295 +183,33 @@ def whittaker_m(kappa: float, mu: float, z: float,
 
 
 # ---------------------------------------------------------------------------
-# Regularized incomplete gamma (internal support for the chi-squared tail)
-# ---------------------------------------------------------------------------
-
-def _reg_gamma_p_series(a: float, y: float, max_terms: int = 2_000_000) -> float:
-    """Lower regularized P(a, y) by the ascending series, chunked in numpy."""
-    log_pref = a * math.log(y) - y - math.lgamma(a + 1.0)
-    if log_pref < _LOG_TINY:
-        return 0.0 if y < a else 1.0
-    pref = math.exp(log_pref)
-    total = 1.0
-    term = 1.0
-    k = 0
-    chunk = 128
-    while k < max_terms:
-        n = min(chunk, max_terms - k)
-        idx = a + 1.0 + k + np.arange(n, dtype=np.float64)
-        terms = term * np.cumprod(y / idx)
-        total += float(terms.sum())
-        term = float(terms[-1])
-        k += n
-        if term < total * 1e-17 and y < float(idx[-1]):
-            return pref * total
-        chunk = min(chunk * 4, 65536)
-    raise ConvergenceError("incomplete gamma series did not converge")
-
-
-def _reg_gamma_q_cf(a: float, y: float, max_iter: int = 2_000_000) -> float:
-    """Upper regularized Q(a, y) by the standard continued fraction."""
-    log_pref = a * math.log(y) - y - math.lgamma(a)
-    if log_pref < _LOG_TINY:
-        return 0.0 if y > a else 1.0
-    ax = math.exp(log_pref)
-    yy = 1.0 - a
-    zz = y + yy + 1.0
-    c = 0.0
-    pkm2, qkm2, pkm1, qkm1 = 1.0, y, y + 1.0, zz * y
-    ans = pkm1 / qkm1
-    for _ in range(max_iter):
-        c += 1.0
-        yy += 1.0
-        zz += 2.0
-        yc = yy * c
-        pk = pkm1 * zz - pkm2 * yc
-        qk = qkm1 * zz - qkm2 * yc
-        if qk != 0.0:
-            r = pk / qk
-            t = abs((ans - r) / r)
-            ans = r
-        else:
-            t = 1.0
-        pkm2, pkm1 = pkm1, pk
-        qkm2, qkm1 = qkm1, qk
-        if abs(pk) > _CF_BIG:
-            pkm2 *= _CF_BIGINV
-            pkm1 *= _CF_BIGINV
-            qkm2 *= _CF_BIGINV
-            qkm1 *= _CF_BIGINV
-        if t <= _EPS:
-            return ans * ax
-    raise ConvergenceError("incomplete gamma continued fraction did not converge")
-
-
-def _reg_gamma_q(a: float, y: float) -> float:
-    if y <= 0.0:
-        return 1.0
-    if y < a + 1.0:
-        return 1.0 - _reg_gamma_p_series(a, y)
-    return _reg_gamma_q_cf(a, y)
-
-
-def _reg_gamma_p(a: float, y: float) -> float:
-    if y <= 0.0:
-        return 0.0
-    if y < a + 1.0:
-        return _reg_gamma_p_series(a, y)
-    return 1.0 - _reg_gamma_q_cf(a, y)
-
-
-# ---------------------------------------------------------------------------
 # Non-central chi-squared survival / distribution functions
 # ---------------------------------------------------------------------------
 
-def _poisson_window(lam: float, max_terms: int):
-    """Index window around the Poisson mode covering all but ~1e-22 mass."""
-    mode = int(lam)
-    width = int(math.ceil(10.0 * math.sqrt(lam + 1.0))) + 40
-    j_lo = max(0, mode - width)
-    j_hi = mode + width
-    if j_hi - j_lo + 1 > max_terms:
-        raise ConvergenceError(
-            f"non-central chi-squared mixture needs {j_hi - j_lo + 1} terms, "
-            f"max_terms is {max_terms}")
-    return j_lo, j_hi, mode
+def chi2_noncentral_sf_cdf(x, df, noncentrality):
+    """Survival and distribution functions of chi2(df, nc) at x together.
 
-
-def _poisson_weights(lam: float, j_lo: int, j_hi: int, mode: int) -> np.ndarray:
-    """Weights pois(j; lam) for j in [j_lo, j_hi], built outward from the mode."""
-    n = j_hi - j_lo + 1
-    w = np.empty(n)
-    im = mode - j_lo
-    w_mode = math.exp(mode * math.log(lam) - lam - math.lgamma(mode + 1.0))
-    w[im] = w_mode
-    js = np.arange(j_lo, j_hi + 1, dtype=np.float64)
-    if im < n - 1:
-        w[im + 1:] = w_mode * np.cumprod(lam / js[im + 1:])
-    if im > 0:
-        w[:im] = (w_mode * np.cumprod(js[im:0:-1] / lam))[::-1]
-    return w
-
-
-def _gamma_increments(a_lo: float, y: float, count: int) -> np.ndarray:
-    """g_j = y^(a_lo+j) e^-y / Gamma(a_lo+j+1) for j = 0..count-1.
-
-    These are the exact increments Q(a+j+1, y) - Q(a+j, y) of the central
-    chi-squared ladder.
+    All three arguments broadcast.  The survival function comes from
+    ``scipy.stats.ncx2.sf`` and the distribution function from
+    ``scipy.special.chndtr``, one vectorised call each; both are computed
+    directly rather than as ``1 - other``, so deep tails on either side
+    keep relative accuracy.  Returns a pair of arrays (or floats when every
+    argument is scalar).
     """
-    g = np.zeros(count)
-    if count == 0:
-        return g
-    log_g0 = a_lo * math.log(y) - y - math.lgamma(a_lo + 1.0)
-    if log_g0 >= _LOG_TINY:
-        g[0] = math.exp(log_g0)
-        if count > 1:
-            g[1:] = g[0] * np.cumprod(y / (a_lo + np.arange(1.0, count)))
-    return g
+    x = _checked(x, _finite_non_negative,
+                 "chi-squared argument must be finite and >= 0")
+    df = _checked(df, lambda v: (v > 0.0) & (v < math.inf),
+                  "degrees of freedom must be positive")
+    nc = _checked(noncentrality, _finite_non_negative, "non-centrality must be >= 0")
+    return (_float_if_scalar(stats.ncx2.sf(x, df, nc)),
+            _float_if_scalar(special.chndtr(x, df, nc)))
 
 
-def _ncx2_both(x: float, df: float, nc: float, max_terms: int):
-    """Survival and distribution functions of chi2(df, nc) at x.
-
-    Poisson mixture of central chi-squared tails, summed bidirectionally
-    from the modal Poisson index.  The survival side ladders upward from
-    the low edge and the distribution side ladders downward from the high
-    edge, so both are sums of positive increments and keep full relative
-    accuracy even when one side is tiny.
-    """
-    if x < 0.0 or not math.isfinite(x):
-        raise DomainError(f"chi-squared argument must be finite and >= 0, got {x!r}")
-    if df <= 0.0:
-        raise DomainError(f"degrees of freedom must be positive, got {df!r}")
-    if nc < 0.0:
-        raise DomainError(f"non-centrality must be >= 0, got {nc!r}")
-    if x == 0.0:
-        return 1.0, 0.0
-    a0 = 0.5 * df
-    y = 0.5 * x
-    lam = 0.5 * nc
-    if lam == 0.0:
-        return _reg_gamma_q(a0, y), _reg_gamma_p(a0, y)
-    j_lo, j_hi, mode = _poisson_window(lam, max_terms)
-    w = _poisson_weights(lam, j_lo, j_hi, mode)
-    qs, ps = _central_ladders(a0, y, j_lo, j_hi)
-    sf = min(float(np.sum(w * qs)), 1.0)
-    cdf = min(float(np.sum(w * ps)), 1.0)
-    return sf, cdf
-
-
-def _central_ladders(a0: float, y: float, j_lo: int, j_hi: int):
-    """Central chi-squared tails Q(a0+j, y) and P(a0+j, y) over a j window.
-
-    Q ladders upward from the low edge and P downward from the high edge;
-    both directions only add positive increments, preserving relative
-    accuracy of whichever side is small.
-    """
-    n = j_hi - j_lo + 1
-    a_lo = a0 + j_lo
-    qs = np.empty(n)
-    ps = np.empty(n)
-    qs[0] = _reg_gamma_q(a_lo, y)
-    ps[n - 1] = _reg_gamma_p(a0 + j_hi, y)
-    if n > 1:
-        g = _gamma_increments(a_lo, y, n - 1)
-        qs[1:] = np.minimum(qs[0] + np.cumsum(g), 1.0)
-        ps[:-1] = np.minimum(ps[n - 1] + np.cumsum(g[::-1])[::-1], 1.0)
-    return qs, ps
-
-
-def _ncx2_both_batch_x(xs: np.ndarray, df: float, nc: float, max_terms: int):
-    """Vectorized variant of :func:`_ncx2_both` over an array of x values.
-
-    One Poisson window is shared (nc is common); the central-chi-squared
-    ladders run per column.  Used by the pricing layer when pricing many
-    strikes against one maturity.
-    """
-    xs = np.asarray(xs, dtype=np.float64)
-    sf = np.empty(xs.size)
-    cdf = np.empty(xs.size)
-    a0 = 0.5 * df
-    lam = 0.5 * nc
-    pos = xs > 0.0
-    sf[~pos] = 1.0
-    cdf[~pos] = 0.0
-    if not np.any(pos):
-        return sf, cdf
-    ys = 0.5 * xs[pos]
-    if lam == 0.0:
-        qv = np.array([_reg_gamma_q(a0, y) for y in ys])
-        pv = np.array([_reg_gamma_p(a0, y) for y in ys])
-    else:
-        j_lo, j_hi, mode = _poisson_window(lam, max_terms)
-        w = _poisson_weights(lam, j_lo, j_hi, mode)
-        qv = np.empty(ys.size)
-        pv = np.empty(ys.size)
-        for i, y in enumerate(ys):
-            qs, ps = _central_ladders(a0, y, j_lo, j_hi)
-            qv[i] = min(float(np.sum(w * qs)), 1.0)
-            pv[i] = min(float(np.sum(w * ps)), 1.0)
-    sf[pos] = qv
-    cdf[pos] = pv
-    return sf, cdf
-
-
-def _ncx2_both_batch_nc(x: float, df: float, ncs: np.ndarray, max_terms: int):
-    """Vectorized tails for one argument against many non-centralities.
-
-    The central ladders depend only on (x, df) and are shared; each
-    non-centrality contributes its own Poisson weight vector over the
-    union of the per-element windows.  Falls back to pointwise evaluation
-    when the non-centralities are too spread out for a shared window.
-    """
-    ncs = np.asarray(ncs, dtype=np.float64)
-    if x <= 0.0:
-        return np.ones(ncs.size), np.zeros(ncs.size)
-    lams = 0.5 * ncs
-    if np.any(lams == 0.0):
-        out = [_ncx2_both(x, df, float(nc), max_terms) for nc in ncs]
-        return (np.array([o[0] for o in out]), np.array([o[1] for o in out]))
-    windows = [_poisson_window(float(lam), max_terms) for lam in lams]
-    j_lo = min(w[0] for w in windows)
-    j_hi = max(w[1] for w in windows)
-    span = j_hi - j_lo + 1
-    widest = max(w[1] - w[0] + 1 for w in windows)
-    if span > max_terms or span > 3 * widest:
-        out = [_ncx2_both(x, df, float(nc), max_terms) for nc in ncs]
-        return (np.array([o[0] for o in out]), np.array([o[1] for o in out]))
-    qs, ps = _central_ladders(0.5 * df, 0.5 * x, j_lo, j_hi)
-    sf = np.empty(lams.size)
-    cdf = np.empty(lams.size)
-    for i, lam in enumerate(lams):
-        w = np.zeros(span)
-        lo_i, hi_i, mode_i = windows[i]
-        w[lo_i - j_lo:hi_i - j_lo + 1] = _poisson_weights(float(lam), lo_i,
-                                                          hi_i, mode_i)
-        sf[i] = min(float(np.sum(w * qs)), 1.0)
-        cdf[i] = min(float(np.sum(w * ps)), 1.0)
-    return sf, cdf
-
-
-def chi2_noncentral_sf(x: float, df: float, noncentrality: float,
-                       tol: Tolerance = DEFAULT_TOLERANCE) -> float:
+def chi2_noncentral_sf(x, df, noncentrality):
     """Survival function ``Q(x; df, nc) = P(chi2_df(nc) > x)``."""
-    return _ncx2_both(x, df, noncentrality, tol.max_terms)[0]
+    return chi2_noncentral_sf_cdf(x, df, noncentrality)[0]
 
 
-def chi2_noncentral_cdf(x: float, df: float, noncentrality: float,
-                        tol: Tolerance = DEFAULT_TOLERANCE) -> float:
-    """Distribution function ``1 - Q(x; df, nc)``, computed directly.
-
-    Complement of :func:`chi2_noncentral_sf` evaluated as its own positive
-    mixture, so deep tails keep relative accuracy instead of degrading to
-    ``1 - (1 - tiny)``.
-    """
-    return _ncx2_both(x, df, noncentrality, tol.max_terms)[1]
-
-
-def chi2_noncentral_sf_cdf(x, df: float, noncentrality,
-                           tol: Tolerance = DEFAULT_TOLERANCE):
-    """Survival and distribution functions together.
-
-    ``x`` may be an array when ``noncentrality`` is scalar (the shared
-    Poisson window is then reused); any other combination broadcasts and
-    evaluates pointwise.  Returns a pair of arrays (or floats for scalar
-    input).
-    """
-    x_arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    nc_arr = np.atleast_1d(np.asarray(noncentrality, dtype=np.float64))
-    scalar = np.isscalar(x) and np.isscalar(noncentrality)
-    if nc_arr.size == 1:
-        sf, cdf = _ncx2_both_batch_x(x_arr, df, float(nc_arr[0]), tol.max_terms)
-    elif x_arr.size == 1:
-        sf, cdf = _ncx2_both_batch_nc(float(x_arr[0]), df, nc_arr, tol.max_terms)
-    else:
-        x_b, nc_b = np.broadcast_arrays(x_arr, nc_arr)
-        sf = np.empty(x_b.size)
-        cdf = np.empty(x_b.size)
-        for i, (xi, nci) in enumerate(zip(x_b.ravel(), nc_b.ravel())):
-            sf[i], cdf[i] = _ncx2_both(float(xi), df, float(nci), tol.max_terms)
-        sf = sf.reshape(x_b.shape)
-        cdf = cdf.reshape(x_b.shape)
-    if scalar:
-        return float(sf[0]), float(cdf[0])
-    return sf, cdf
+def chi2_noncentral_cdf(x, df, noncentrality):
+    """Distribution function ``1 - Q(x; df, nc)``, computed directly."""
+    return chi2_noncentral_sf_cdf(x, df, noncentrality)[1]

@@ -48,6 +48,17 @@ class TestPrice:
         assert err.startswith("error: ")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("flag", ["--sigma", "--rate", "--maturity"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_input_exit_one(self, capsys, flag, bad):
+        argv = list(PRICE_ARGS)
+        argv[argv.index(flag) + 1] = bad
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "finite" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_byte_identical_runs(self, capsys):
         a = run(capsys, PRICE_ARGS)[1]
         b = run(capsys, PRICE_ARGS)[1]

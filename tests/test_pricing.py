@@ -97,6 +97,23 @@ class TestModelSpec:
         with pytest.raises(DomainError):
             MarketEnv(rate=0.01, spot=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["sigma", "alpha", "hurst", "beta",
+                                       "gamma"])
+    def test_non_finite_parameters_rejected(self, field, bad):
+        # hurst and negative weights already fail MixedDriverParams' range
+        # checks; ModelSpec catches the rest
+        for name in ("msfcev", "bs"):
+            with pytest.raises(DomainError):
+                make(name, **{field: bad})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_market_rejected(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            MarketEnv(rate=bad, spot=100.0)
+        with pytest.raises(DomainError, match="finite"):
+            MarketEnv(rate=0.05, spot=bad)
+
 
 class TestEffectiveVariance:
     def test_classical_beta_only(self, env100):
@@ -227,6 +244,22 @@ class TestTransitionDensity:
         with pytest.raises(DomainError):
             transition_density(make("bs"), env100, 1.0, 100.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_inputs_rejected(self, env100, bad):
+        m = make("msfcev", alpha=1.0, hurst=0.7)
+        with pytest.raises(DomainError, match="finite"):
+            transition_density(m, env100, bad, 100.0)
+        with pytest.raises(DomainError, match="finite"):
+            transition_density(m, env100, 1.0, np.array([90.0, bad]))
+
+    def test_array_matches_pointwise(self, env100):
+        m = make("msfcev", alpha=1.4, hurst=0.8)
+        grid = np.linspace(20.0, 300.0, 57)
+        dens = transition_density(m, env100, 0.7, grid)
+        assert dens.shape == grid.shape
+        for s_t, d in zip(grid, dens):
+            assert transition_density(m, env100, 0.7, float(s_t)) == d
+
 
 class TestCallPrice:
     def test_black_scholes_textbook(self):
@@ -296,6 +329,24 @@ class TestCallPrice:
         assert 0.0 <= otm <= 1e-3 * 100.0
         itm = call_price(m, env100, 0.5, 1.0)
         assert itm == pytest.approx(100.0 - math.exp(-0.025), rel=1e-10)
+
+    def test_deep_otm_matches_mpmath_reference(self):
+        # perfbench/mpmath_table.csv row msfcev, sigma 30, alpha 0, H 0.75,
+        # r 0.05, S0 100, T 0.25, K 400: an 80-digit Poisson mixture.  The
+        # price is 1e-68, far under the Poisson mode's share of the mixture
+        ref = 3.283964983411784e-68
+        m = make("msfcev", sigma=30.0, alpha=0.0, hurst=0.75)
+        price = call_price(m, MarketEnv(rate=0.05, spot=100.0), 0.25, 400.0)
+        assert price == pytest.approx(ref, rel=1e-6)
+
+    @pytest.mark.parametrize("name", ["msfcev", "bs"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_inputs_rejected(self, env100, name, bad):
+        m = make(name, alpha=1.2, hurst=0.75)
+        with pytest.raises(DomainError, match="finite"):
+            call_prices(m, env100, bad, [100.0])
+        with pytest.raises(DomainError, match="finite"):
+            call_prices(m, env100, 1.0, [100.0, bad])
 
     def test_fig1_ordering_short_maturity(self, env100):
         for h in (0.7, 0.9):
