@@ -10,10 +10,9 @@ per model are
     cev           sigma, alpha
     mfcev, msfcev sigma, alpha, hurst
 
-The optimizer is multi-start Nelder-Mead on a logistic reparameterization
-of the bounded box, with low-discrepancy starting points, followed by a
-trust-region least-squares polish of the best start on the price
-residuals; deterministic for a given seed.
+The optimizer is multi-start trust-region least squares (TRF) on the price
+residuals, in a logistic reparameterization of the bounded box, from
+scrambled-Sobol starting points; deterministic for a given seed.
 """
 
 from __future__ import annotations
@@ -99,8 +98,6 @@ class OptimizerConfig:
     seed: int = 0
     maxiter: int = 400
     polish_maxiter: int = 1500
-    xatol: float = 1e-8
-    fatol: float = 1e-13
 
     def __post_init__(self) -> None:
         if self.n_starts < 1:
@@ -304,32 +301,39 @@ def _box(names):
 
 def _fit_vector(model_name: str, names, groups, n_quotes: int,
                 cfg: OptimizerConfig):
-    """Multi-start Nelder-Mead plus a least-squares polish; returns best fit.
+    """Multi-start trust-region least squares; returns the best fit.
 
-    Each start runs Nelder-Mead on the MSE in logistic coordinates.  The
-    best start is polished by trust-region least squares on the residual
-    vector ``(prices - mids) / sqrt(n_quotes)``, whose sum of squares is
-    the MSE, with at most ``cfg.polish_maxiter`` residual evaluations (the
-    finite-difference Jacobian's are not counted).  The start's result is
-    kept when the polish fails or does not improve on it.
+    Every start runs ``least_squares`` (TRF) in logistic coordinates on the
+    residual vector ``(prices - mids) / sqrt(n_quotes)``, whose sum of
+    squares is the MSE, with at most ``cfg.maxiter`` residual evaluations
+    (the finite-difference Jacobian's are not counted).  A start whose
+    residuals leave the pricing domain is skipped with a warning.  If the
+    lowest-cost start stopped on its budget, it continues from its end point
+    for at most ``cfg.polish_maxiter`` evaluations, and the continuation is
+    kept when it is no worse.
 
     Returns ``(params, mse, iterations, converged)``: ``iterations`` is the
-    Nelder-Mead iterations of every start plus the residual evaluations of
-    the polish; ``converged`` is the polish's own verdict (a least-squares
-    tolerance was met), or the best start's if the polish left the domain.
+    residual evaluations of every start and of the continuation;
+    ``converged`` means the kept solve met a least-squares tolerance.
     """
     lo, hi = _box(names)
     span = hi - lo
     scale = 1.0 / math.sqrt(n_quotes)
 
     def to_params(u):
-        return lo + span * expit(u)
-
-    def objective_u(u):
-        return _objective(model_name, names, to_params(u), groups, n_quotes)
+        return np.clip(lo + span * expit(u), lo, hi)
 
     def residuals_u(u):
         return scale * _residuals(model_name, names, to_params(u), groups)
+
+    def solve(u0, max_nfev):
+        try:
+            return optimize.least_squares(residuals_u, u0, method="trf",
+                                          max_nfev=max_nfev)
+        except (DomainError, FloatingPointError) as exc:
+            log.warning("least-squares start of %s at %s left the domain: %s",
+                        model_name, dict(zip(names, to_params(u0))), exc)
+            return None
 
     sampler = qmc.Sobol(d=len(names), scramble=True, seed=cfg.seed)
     with warnings.catch_warnings():
@@ -341,32 +345,22 @@ def _fit_vector(model_name: str, names, groups, n_quotes: int,
     best = None
     iterations = 0
     for u0 in starts:
-        res = optimize.minimize(objective_u, u0, method="Nelder-Mead",
-                                options={"maxiter": cfg.maxiter,
-                                         "xatol": cfg.xatol,
-                                         "fatol": cfg.fatol,
-                                         "adaptive": len(names) > 2})
-        iterations += res.nit
-        if math.isfinite(res.fun) and (best is None or res.fun < best.fun):
+        res = solve(u0, cfg.maxiter)
+        if res is None:
+            continue
+        iterations += res.nfev
+        if best is None or res.cost < best.cost:
             best = res
     if best is None:
         raise CalibrationError(
-            f"no optimizer start produced a finite objective for {model_name}")
-    u_best, mse, converged = best.x, float(best.fun), bool(best.success)
-    try:
-        polish = optimize.least_squares(residuals_u, best.x, method="trf",
-                                        max_nfev=cfg.polish_maxiter)
-    except (DomainError, FloatingPointError) as exc:
-        log.warning("least-squares polish of %s left the domain: %s",
-                    model_name, exc)
-    else:
-        iterations += polish.nfev
-        converged = polish.status > 0
-        polish_mse = 2.0 * float(polish.cost)
-        if math.isfinite(polish_mse) and polish_mse <= mse:
-            u_best, mse = polish.x, polish_mse
-    params = np.clip(to_params(u_best), lo, hi)
-    return params, mse, iterations, converged
+            f"no optimizer start stayed in the pricing domain for {model_name}")
+    if best.status == 0:  # stopped on its budget
+        more = solve(best.x, cfg.polish_maxiter)
+        if more is not None:
+            iterations += more.nfev
+            if more.cost <= best.cost:
+                best = more
+    return to_params(best.x), 2.0 * float(best.cost), iterations, best.status > 0
 
 
 def _per_maturity_mse(model_name, values, groups) -> dict:

@@ -218,9 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="msfcev",
         description="Pricing, simulation, verification and calibration for "
                     "CEV models with mixed (sub-)fractional drivers.")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="cap on worker parallelism (current build runs "
-                             "single-threaded; values >= 1 accepted)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("price", help="price one European call")
@@ -283,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["joint", "per_maturity"], default="joint")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--starts", type=int, default=8)
-    p.add_argument("--maxiter", type=int, default=400)
+    p.add_argument("--maxiter", type=int, default=400,
+                   help="residual evaluations per start")
     p.add_argument("--filter-moneyness", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_calibrate)
@@ -295,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["joint", "per_maturity"], default="joint")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--starts", type=int, default=8)
-    p.add_argument("--maxiter", type=int, default=400)
+    p.add_argument("--maxiter", type=int, default=400,
+                   help="residual evaluations per start")
     p.add_argument("--filter-moneyness", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_compare)
@@ -308,9 +307,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 1
     try:
         return args.func(args)
     except _USAGE_ERRORS as exc:

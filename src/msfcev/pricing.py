@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from . import specfun
 from .errors import DomainError
@@ -339,16 +339,22 @@ def transition_density(model: ModelSpec, env: MarketEnv, maturity: float,
     return float(out) if np.ndim(terminal_price) == 0 else out
 
 
-def black_scholes_call(spot: float, strike: float, rate: float,
-                       maturity: float, total_variance: float) -> float:
-    """Black-Scholes call from total variance v = sigma^2 * driver variance."""
+def black_scholes_call(spot: float, strike, rate: float, maturity: float,
+                       total_variance: float):
+    """Black-Scholes call from total variance v = sigma^2 * driver variance.
+
+    Broadcasts over ``strike``; a scalar strike returns a float.
+    """
+    k = np.asarray(strike, dtype=np.float64)
+    discounted_strike = k * math.exp(-rate * maturity)
     if total_variance <= 0.0:
-        return max(spot - strike * math.exp(-rate * maturity), 0.0)
-    sv = math.sqrt(total_variance)
-    d1 = (math.log(spot / strike) + rate * maturity) / sv + 0.5 * sv
-    d2 = d1 - sv
-    ncdf = lambda v: 0.5 * math.erfc(-v / math.sqrt(2.0))
-    return spot * ncdf(d1) - strike * math.exp(-rate * maturity) * ncdf(d2)
+        out = np.maximum(spot - discounted_strike, 0.0)
+    else:
+        sv = math.sqrt(total_variance)
+        d1 = (np.log(spot / k) + rate * maturity) / sv + 0.5 * sv
+        out = (spot * special.ndtr(d1)
+               - discounted_strike * special.ndtr(d1 - sv))
+    return float(out) if out.ndim == 0 else out
 
 
 def _assemble_call(spot: float, discounted_strike, sf1, cdf1, sf2, cdf2):
@@ -382,9 +388,7 @@ def call_prices(model: ModelSpec, env: MarketEnv, maturity: float,
     if model.family == Family.BS:
         v = model.sigma ** 2 * driver_variance(model.driver,
                                                model.driver_params, maturity)
-        out = np.array([black_scholes_call(env.spot, float(e), env.rate,
-                                           maturity, v) for e in ks])
-        return out
+        return black_scholes_call(env.spot, ks, env.rate, maturity, v)
     a = model.alpha
     ints = cev_intermediates(model, env, maturity, strike=float(ks[0]))
     k_s, y_s = ints.k_s, ints.y_s

@@ -30,4 +30,4 @@ def rel_err(a, b):
 @pytest.fixture(scope="session")
 def quick_optimizer():
     return cal.OptimizerConfig(n_starts=2, seed=7, maxiter=80,
-                               polish_maxiter=250, fatol=1e-12)
+                               polish_maxiter=250)

@@ -251,7 +251,7 @@ def test_criterion_8_process_statistics():
 FULL_CFG = cal.OptimizerConfig(n_starts=8, seed=900, maxiter=400,
                                polish_maxiter=1500)
 NOISY_CFG = cal.OptimizerConfig(n_starts=2, seed=901, maxiter=200,
-                                polish_maxiter=400, fatol=1e-10)
+                                polish_maxiter=400)
 MATURITIES = (0.25, 0.5, 1.0, 1.5, 2.0)
 
 

@@ -1,12 +1,13 @@
 import io
 import json
+import logging
 import math
 import random
 
 import pytest
 
 from msfcev import calibrate as cal
-from msfcev.errors import ChainFormatError, DomainError
+from msfcev.errors import CalibrationError, ChainFormatError, DomainError
 from msfcev.pricing import ModelSpec
 
 VALID_CSV = """quote_date,spot,rate,strike,maturity_years,mid_price
@@ -148,6 +149,42 @@ class TestFit:
         with pytest.warns(RuntimeWarning, match="fewer than two"):
             report = cal.fit(padded, "cev", "per_maturity", quick_optimizer)
         assert "3.000000" not in report.mse_per_maturity
+
+    def test_sample_chain_recovery(self):
+        """The README and demo 05 fit: eight starts find the global minimum.
+
+        The objective has a second, true local minimum at sigma 2.76, alpha
+        0.788, H 0.854 (MSE 2.7e-4), to which one-start fits from seed 7 or
+        seed 42 converge; the multi-start is what finds the generating
+        parameters.
+        """
+        chain = cal.load_chain("data/sample_chain.csv")
+        report = cal.fit(chain, "msfcev", "joint",
+                         cal.OptimizerConfig(n_starts=8, seed=42))
+        fitted = report.fitted["joint"]
+        assert fitted["sigma"] == pytest.approx(2.5, abs=1e-6)
+        assert fitted["alpha"] == pytest.approx(0.8, abs=1e-6)
+        assert fitted["hurst"] == pytest.approx(0.75, abs=1e-6)
+        assert report.converged
+
+    def test_exhausted_budget_not_converged(self, small_chain):
+        # the path behind the calibrate command's exit code 2
+        cfg = cal.OptimizerConfig(n_starts=1, seed=0, maxiter=2,
+                                  polish_maxiter=2)
+        report = cal.fit(small_chain, "msfcev", "joint", cfg)
+        assert report.converged is False
+
+    def test_starts_outside_domain_skipped(self, small_chain, monkeypatch,
+                                           caplog):
+        def reject(*args):
+            raise DomainError("outside the pricing domain")
+
+        monkeypatch.setattr(cal, "call_prices", reject)
+        cfg = cal.OptimizerConfig(n_starts=3, seed=0)
+        with caplog.at_level(logging.WARNING, logger=cal.log.name):
+            with pytest.raises(CalibrationError):
+                cal.fit(small_chain, "cev", "joint", cfg)
+        assert len(caplog.records) == 3  # one warning per skipped start
 
     def test_invalid_mode(self, small_chain):
         with pytest.raises(DomainError):

@@ -173,15 +173,3 @@ class TestCompareCommand:
         rows = json.loads(out)
         assert [r["model"] for r in rows] == ["bs", "cev"]
         assert all(not r["failed"] for r in rows)
-
-
-class TestGlobalFlags:
-    def test_threads_validation(self, capsys):
-        code, _, err = run(capsys, ["--threads", "0"] + PRICE_ARGS)
-        assert code == 1
-        assert "threads" in err
-
-    def test_threads_accepted(self, capsys):
-        code, out, _ = run(capsys, ["--threads", "4"] + PRICE_ARGS)
-        assert code == 0
-        float(out.strip())

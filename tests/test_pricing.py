@@ -279,6 +279,13 @@ class TestCallPrice:
             expected = black_scholes_call(100.0, 105.0, 0.05, t, v)
             assert call_price(m, env100, t, 105.0) == pytest.approx(expected,
                                                                     rel=1e-12)
+            strikes = np.array([60.0, 95.0, 105.0, 180.0])
+            pointwise = [black_scholes_call(100.0, k, 0.05, t, v)
+                         for k in strikes]
+            assert isinstance(pointwise[0], float)
+            np.testing.assert_allclose(
+                black_scholes_call(100.0, strikes, 0.05, t, v), pointwise,
+                rtol=1e-14)
 
     def test_msfcev_gamma_zero_reduces_to_classical(self, env100):
         for sigma in (0.2, 0.3):
