@@ -15,9 +15,10 @@ import numpy as np
 
 from msfcev.pricing import (MarketEnv, ModelSpec, black_scholes_call,
                             call_price, driver_variance, effective_variance,
-                            effective_variance_quadrature, transition_density)
-from msfcev.verify import (FpeGrid, McConfig, mc_price_cev_classical,
-                           mc_price_msfbs, quadrature_price, solve_fpe)
+                            transition_density)
+from msfcev.verify import (FpeGrid, McConfig, effective_variance_quadrature,
+                           mc_price_cev_classical, mc_price_msfbs,
+                           quadrature_price, solve_fpe)
 
 env = MarketEnv(rate=0.05, spot=100.0)
 model = ModelSpec.make("msfcev", sigma=0.3, alpha=1.2, hurst=0.75)

@@ -2,22 +2,23 @@
 
 Library layout:
 
-* :mod:`msfcev.specfun`   -- special-function kernel (Bessel I, Kummer M,
-  Whittaker M, non-central chi-squared tails);
+* :mod:`msfcev.specfun`   -- special-function kernel (scaled Bessel I,
+  non-central chi-squared tails);
 * :mod:`msfcev.process`   -- driver covariances and exact path sampling;
-* :mod:`msfcev.pricing`   -- effective variance, transition density and
-  closed-form call prices for the six-model catalog;
+* :mod:`msfcev.pricing`   -- effective variance (Kummer M from
+  ``scipy.special.hyp1f1``), transition density and closed-form call
+  prices for the six-model catalog, one option chain per call;
 * :mod:`msfcev.verify`    -- independent oracles (forward-equation solver,
-  Monte Carlo, payoff quadrature);
+  Monte Carlo, payoff and effective-variance quadrature);
 * :mod:`msfcev.calibrate` -- MSE fitting of option chains;
 * :mod:`msfcev.cli`       -- command-line front end.
 """
 
-from .errors import (CalibrationError, ChainFormatError, ConvergenceError,
-                     DomainError, NumericalError)
+from .errors import (CalibrationError, ChainFormatError, DomainError,
+                     NumericalError)
 from .pricing import (Driver, Family, MarketEnv, ModelSpec, call_price,
-                      call_prices, diffusion_kernel, effective_variance,
-                      price_curve, transition_density)
+                      call_prices, chain_prices, diffusion_kernel,
+                      effective_variance, price_curve, transition_density)
 from .process import MixedDriverParams, PathBatch, TimeGrid, sample_msfbm
 
 __version__ = "0.1.0"
@@ -26,7 +27,6 @@ __all__ = [
     "__version__",
     "CalibrationError",
     "ChainFormatError",
-    "ConvergenceError",
     "DomainError",
     "NumericalError",
     "Driver",
@@ -38,6 +38,7 @@ __all__ = [
     "TimeGrid",
     "call_price",
     "call_prices",
+    "chain_prices",
     "diffusion_kernel",
     "effective_variance",
     "price_curve",

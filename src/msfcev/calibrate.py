@@ -31,7 +31,7 @@ from scipy.special import expit, logit
 from scipy.stats import qmc
 
 from .errors import CalibrationError, ChainFormatError, DomainError
-from .pricing import MODEL_NAMES, Driver, MarketEnv, ModelSpec, call_prices
+from .pricing import MODEL_NAMES, Driver, MarketEnv, ModelSpec, chain_prices
 
 __all__ = [
     "MarketQuote",
@@ -236,42 +236,51 @@ def write_chain_csv(chain: OptionChain, target) -> None:
 # objective
 # ---------------------------------------------------------------------------
 
-def _groups(quotes) -> list:
-    """Quotes bucketed by (maturity, rate); strikes vectorized per bucket.
+@dataclass(frozen=True)
+class _Quotes:
+    """A chain's quotes as per-quote arrays, built once per fit."""
 
-    Quotes are sorted inside each bucket so the objective is bit-identical
-    under reordering of the input chain.
+    spot: float
+    maturities: np.ndarray
+    rates: np.ndarray
+    strikes: np.ndarray
+    mids: np.ndarray
+
+
+def _quote_arrays(quotes) -> _Quotes:
+    """Per-quote arrays sorted by (maturity, rate, strike, mid).
+
+    The sort makes the objective bit-identical under reordering of the
+    input chain.
     """
-    keyed = {}
-    for q in quotes:
-        key = (round(q.maturity, _MATURITY_DECIMALS), q.rate)
-        keyed.setdefault(key, []).append(q)
-    out = []
-    for (t_key, rate), qs in sorted(keyed.items()):
-        qs = sorted(qs, key=lambda q: (q.strike, q.mid_price))
-        strikes = np.array([q.strike for q in qs])
-        mids = np.array([q.mid_price for q in qs])
-        out.append((qs[0].maturity, MarketEnv(rate=rate, spot=qs[0].spot),
-                    strikes, mids))
-    return out
+    qs = sorted(quotes, key=lambda q: (round(q.maturity, _MATURITY_DECIMALS),
+                                       q.rate, q.strike, q.mid_price))
+    spot = qs[0].spot
+    for rate in {q.rate for q in qs}:
+        MarketEnv(rate=rate, spot=spot)  # reject bad market data before fitting
+    return _Quotes(spot=spot,
+                   maturities=np.array([q.maturity for q in qs]),
+                   rates=np.array([q.rate for q in qs]),
+                   strikes=np.array([q.strike for q in qs]),
+                   mids=np.array([q.mid_price for q in qs]))
 
 
-def _residuals(model_name: str, names, vector, groups) -> np.ndarray:
-    """Model price minus mid price for every quote, group by group."""
+def _residuals(model_name: str, names, vector, quotes: _Quotes) -> np.ndarray:
+    """Model price minus mid price for every quote, in one pricing call."""
     model = build_model(model_name, dict(zip(names, vector)))
-    return np.concatenate([call_prices(model, env, maturity, strikes) - mids
-                           for maturity, env, strikes, mids in groups])
+    return chain_prices(model, quotes.spot, quotes.maturities, quotes.rates,
+                        quotes.strikes) - quotes.mids
 
 
-def _objective(model_name: str, names, vector, groups, n_quotes: int) -> float:
+def _objective(model_name: str, names, vector, quotes: _Quotes) -> float:
     values = dict(zip(names, vector))
     for name, val in values.items():
         lo, hi = PARAM_BOUNDS[name]
         if not lo <= val <= hi:
             return math.inf
     try:
-        res = _residuals(model_name, names, vector, groups)
-        return float(np.sum(res ** 2)) / n_quotes
+        res = _residuals(model_name, names, vector, quotes)
+        return float(np.sum(res ** 2)) / res.size
     except (DomainError, FloatingPointError) as exc:
         log.warning("objective rejected %s at %s: %s", model_name, values, exc)
         return math.inf
@@ -285,8 +294,7 @@ def mse_objective(model_name: str, params, chain: OptionChain) -> float:
         raise DomainError(
             f"{model_name} takes parameters {names}, got vector of "
             f"shape {vector.shape}")
-    return _objective(model_name, names, vector, _groups(chain.quotes),
-                      len(chain.quotes))
+    return _objective(model_name, names, vector, _quote_arrays(chain.quotes))
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +307,7 @@ def _box(names):
     return lo, hi
 
 
-def _fit_vector(model_name: str, names, groups, n_quotes: int,
+def _fit_vector(model_name: str, names, quotes: _Quotes,
                 cfg: OptimizerConfig):
     """Multi-start trust-region least squares; returns the best fit.
 
@@ -318,13 +326,13 @@ def _fit_vector(model_name: str, names, groups, n_quotes: int,
     """
     lo, hi = _box(names)
     span = hi - lo
-    scale = 1.0 / math.sqrt(n_quotes)
+    scale = 1.0 / math.sqrt(quotes.mids.size)
 
     def to_params(u):
         return np.clip(lo + span * expit(u), lo, hi)
 
     def residuals_u(u):
-        return scale * _residuals(model_name, names, to_params(u), groups)
+        return scale * _residuals(model_name, names, to_params(u), quotes)
 
     def solve(u0, max_nfev):
         try:
@@ -363,13 +371,13 @@ def _fit_vector(model_name: str, names, groups, n_quotes: int,
     return to_params(best.x), 2.0 * float(best.cost), iterations, best.status > 0
 
 
-def _per_maturity_mse(model_name, values, groups) -> dict:
-    model = build_model(model_name, values)
-    out = {}
-    for maturity, env, strikes, mids in groups:
-        prices = call_prices(model, env, maturity, strikes)
-        out[f"{maturity:.6f}"] = float(np.mean((prices - mids) ** 2))
-    return out
+def _per_maturity_mse(quotes: _Quotes, residuals) -> dict:
+    """Mean squared residual per maturity, keyed by its first quote's maturity."""
+    keys = [round(float(t), _MATURITY_DECIMALS) for t in quotes.maturities]
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    sq = residuals ** 2
+    return {f"{quotes.maturities[i]:.6f}": float(np.mean(sq[group == g]))
+            for g, i in enumerate(first)}
 
 
 def fit(chain: OptionChain, model_name: str, mode: str = "joint",
@@ -384,14 +392,14 @@ def fit(chain: OptionChain, model_name: str, mode: str = "joint",
     """
     names = free_parameters(model_name)
     if mode == "joint":
-        groups = _groups(chain.quotes)
-        params, total, iters, ok = _fit_vector(model_name, names, groups,
-                                               len(chain.quotes), cfg)
+        quotes = _quote_arrays(chain.quotes)
+        params, total, iters, ok = _fit_vector(model_name, names, quotes, cfg)
         values = dict(zip(names, (float(v) for v in params)))
         return CalibrationReport(
             mode=mode,
             fitted={"joint": values},
-            mse_per_maturity=_per_maturity_mse(model_name, values, groups),
+            mse_per_maturity=_per_maturity_mse(
+                quotes, _residuals(model_name, names, params, quotes)),
             total_mse=total,
             iterations=iters,
             converged=ok,
@@ -411,9 +419,8 @@ def fit(chain: OptionChain, model_name: str, mode: str = "joint",
             warnings.warn(f"maturity {t_key}: fewer than two quotes, skipped",
                           RuntimeWarning, stacklevel=2)
             continue
-        groups = _groups(quotes)
-        params, group_mse, iters, ok = _fit_vector(model_name, names, groups,
-                                                   len(quotes), cfg)
+        params, group_mse, iters, ok = _fit_vector(model_name, names,
+                                                   _quote_arrays(quotes), cfg)
         key = f"{quotes[0].maturity:.6f}"
         fitted[key] = dict(zip(names, (float(v) for v in params)))
         mse_map[key] = group_mse

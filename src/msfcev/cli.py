@@ -16,11 +16,11 @@ import numpy as np
 
 from . import calibrate as cal
 from . import pricing, process, verify
-from .errors import (CalibrationError, ChainFormatError, ConvergenceError,
-                     DomainError, NumericalError)
+from .errors import (CalibrationError, ChainFormatError, DomainError,
+                     NumericalError)
 
-_USAGE_ERRORS = (DomainError, ChainFormatError, ConvergenceError,
-                 NumericalError, CalibrationError, OSError)
+_USAGE_ERRORS = (DomainError, ChainFormatError, NumericalError,
+                 CalibrationError, OSError)
 
 
 def _model_args(parser: argparse.ArgumentParser) -> None:
@@ -127,7 +127,7 @@ def _cmd_verify(args) -> int:
 
     if model.family == pricing.Family.CEV:
         phi_c = pricing.effective_variance(model, env, args.maturity)
-        phi_q = pricing.effective_variance_quadrature(model, env, args.maturity)
+        phi_q = verify.effective_variance_quadrature(model, env, args.maturity)
         rel = abs(phi_c - phi_q) / phi_q
         add("phi_closed_vs_quadrature_rel", rel, 1e-9, rel <= 1e-9)
 

@@ -5,10 +5,6 @@ class DomainError(ValueError):
     """An argument lies outside the documented domain of an operation."""
 
 
-class ConvergenceError(RuntimeError):
-    """An iterative evaluation failed to converge within its term budget."""
-
-
 class NumericalError(RuntimeError):
     """A numerical procedure failed (factorization, quadrature, PDE step)."""
 

@@ -21,9 +21,15 @@ maturity, the effective variance Phi(T):
              + gamma^2 * lambda(T-u)] * exp((2-alpha) r u) du
 
 where ``lambda`` is the driver's diffusion kernel (see
-:func:`diffusion_kernel`).  The closed form used at runtime evaluates the
-integral exactly in terms of Kummer M functions; quadrature of the
-integrand is kept as an independent oracle.
+:func:`diffusion_kernel`).  The closed form evaluates the integral exactly
+in terms of the Kummer functions M(1, 2, z) and M(1, 1+2H, z), taken from
+``scipy.special.hyp1f1``; quadrature of the integrand is kept as an
+independent oracle in :mod:`msfcev.verify`.
+
+:func:`chain_prices` prices a whole option chain, every (maturity, rate,
+strike) quote on one spot, with one vectorised Phi evaluation and one
+chi-squared call (CEV) or one normal-cdf pair (BS); :func:`call_prices` is
+its one-maturity case.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from . import specfun
 from .errors import DomainError
@@ -51,11 +57,11 @@ __all__ = [
     "diffusion_kernel",
     "driver_variance",
     "effective_variance",
-    "effective_variance_quadrature",
     "cev_intermediates",
     "transition_density",
     "call_price",
     "call_prices",
+    "chain_prices",
     "price_curve",
     "write_price_curve_csv",
     "black_scholes_call",
@@ -116,8 +122,7 @@ class ModelSpec:
 
     def __post_init__(self) -> None:
         p = self.driver_params
-        _check_finite(sigma=self.sigma, alpha=self.alpha, hurst=p.hurst,
-                      beta=p.beta, gamma=p.gamma)
+        _check_finite(sigma=self.sigma, alpha=self.alpha)
         if self.sigma <= 0.0:
             raise DomainError(f"sigma must be positive, got {self.sigma!r}")
         if self.family == Family.CEV:
@@ -230,20 +235,37 @@ def _subfractional_weight(driver: Driver, hurst: float) -> float:
     return 1.0
 
 
-def driver_variance(driver: Driver, params: MixedDriverParams, t: float) -> float:
-    """Marginal variance of the driver at time t (the BS total-variance input)."""
-    if t < 0.0:
+def driver_variance(driver: Driver, params: MixedDriverParams, t):
+    """Marginal variance of the driver at time t (the BS total-variance input).
+
+    Broadcasts over an array of times.
+    """
+    if np.less(t, 0.0).any():
         raise DomainError(f"time must be >= 0, got {t!r}")
     out = params.beta ** 2 * t
     if params.gamma != 0.0 and driver != Driver.CLASSICAL:
-        out += (params.gamma ** 2 * _subfractional_weight(driver, params.hurst)
-                * t ** (2.0 * params.hurst))
+        out = out + (params.gamma ** 2 * _subfractional_weight(driver, params.hurst)
+                     * t ** (2.0 * params.hurst))
     return out
 
 
 def _check_cev(model: ModelSpec) -> None:
     if model.family != Family.CEV:
         raise DomainError("operation defined for the CEV family only")
+
+
+def _phi(model: ModelSpec, rate, maturity):
+    """Phi(T) over arrays (or scalars) of rate and maturity; see effective_variance."""
+    p = model.driver_params
+    a = model.alpha
+    z = (2.0 - a) * rate * maturity
+    total = 0.5 * p.beta ** 2 * maturity * special.hyp1f1(1.0, 2.0, z)
+    if p.gamma != 0.0 and model.driver != Driver.CLASSICAL:
+        h = p.hurst
+        total = total + (0.5 * p.gamma ** 2 * _subfractional_weight(model.driver, h)
+                         * maturity ** (2.0 * h)
+                         * special.hyp1f1(1.0, 1.0 + 2.0 * h, z))
+    return model.sigma ** 2 * (2.0 - a) ** 2 * total
 
 
 def effective_variance(model: ModelSpec, env: MarketEnv, maturity: float) -> float:
@@ -257,41 +279,12 @@ def effective_variance(model: ModelSpec, env: MarketEnv, maturity: float) -> flo
     where w_H = 2 - 2^(2H-1) for the sub-fractional driver and 1 for the
     fractional one.  This is the Whittaker-function form of the integral
     with the z^(-H) prefactor absorbed analytically, so it is regular at
-    r = 0 (where both M terms equal 1) and needs no series switch.
+    r = 0, where both M terms are exactly 1.  M comes from
+    ``scipy.special.hyp1f1``.
     """
     _check_cev(model)
     _check_maturity(maturity)
-    p = model.driver_params
-    a = model.alpha
-    z = (2.0 - a) * env.rate * maturity
-    total = 0.5 * p.beta ** 2 * maturity * specfun.kummer_m(1.0, 2.0, z)
-    if p.gamma != 0.0 and model.driver != Driver.CLASSICAL:
-        h = p.hurst
-        total += (0.5 * p.gamma ** 2 * _subfractional_weight(model.driver, h)
-                  * maturity ** (2.0 * h)
-                  * specfun.kummer_m(1.0, 1.0 + 2.0 * h, z))
-    return model.sigma ** 2 * (2.0 - a) ** 2 * total
-
-
-def effective_variance_quadrature(model: ModelSpec, env: MarketEnv,
-                                  maturity: float) -> float:
-    """Phi(T) by adaptive quadrature of its defining integral (oracle path)."""
-    _check_cev(model)
-    _check_maturity(maturity)
-    p = model.driver_params
-    a = model.alpha
-    c = (2.0 - a) * env.rate
-
-    def integrand(u: float) -> float:
-        kern = 0.5 * p.beta ** 2
-        if p.gamma != 0.0 and model.driver != Driver.CLASSICAL:
-            kern += p.gamma ** 2 * diffusion_kernel(model.driver, p.hurst,
-                                                    maturity - u)
-        return kern * math.exp(c * u)
-
-    value, _ = integrate.quad(integrand, 0.0, maturity,
-                              epsabs=0.0, epsrel=1e-12, limit=500)
-    return model.sigma ** 2 * (2.0 - a) ** 2 * value
+    return float(_phi(model, env.rate, maturity))
 
 
 def cev_intermediates(model: ModelSpec, env: MarketEnv, maturity: float,
@@ -339,21 +332,20 @@ def transition_density(model: ModelSpec, env: MarketEnv, maturity: float,
     return float(out) if np.ndim(terminal_price) == 0 else out
 
 
-def black_scholes_call(spot: float, strike, rate: float, maturity: float,
-                       total_variance: float):
+def black_scholes_call(spot: float, strike, rate, maturity, total_variance):
     """Black-Scholes call from total variance v = sigma^2 * driver variance.
 
-    Broadcasts over ``strike``; a scalar strike returns a float.
+    Broadcasts over ``strike``, ``rate``, ``maturity`` and
+    ``total_variance``; all-scalar arguments return a float.
     """
-    k = np.asarray(strike, dtype=np.float64)
-    discounted_strike = k * math.exp(-rate * maturity)
-    if total_variance <= 0.0:
-        out = np.maximum(spot - discounted_strike, 0.0)
-    else:
-        sv = math.sqrt(total_variance)
-        d1 = (np.log(spot / k) + rate * maturity) / sv + 0.5 * sv
-        out = (spot * special.ndtr(d1)
-               - discounted_strike * special.ndtr(d1 - sv))
+    k, r, t, v = (np.asarray(x, dtype=np.float64)
+                  for x in (strike, rate, maturity, total_variance))
+    discounted_strike = k * np.exp(-r * t)
+    sv = np.sqrt(v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d1 = (np.log(spot / k) + r * t) / sv + 0.5 * sv
+        out = spot * special.ndtr(d1) - discounted_strike * special.ndtr(d1 - sv)
+    out = np.where(v > 0.0, out, np.maximum(spot - discounted_strike, 0.0))
     return float(out) if out.ndim == 0 else out
 
 
@@ -372,36 +364,58 @@ def _assemble_call(spot: float, discounted_strike, sf1, cdf1, sf2, cdf2):
     return np.minimum(np.maximum(price, lower), spot)
 
 
+def _quote_array(values, name: str, zero_ok: bool = False) -> np.ndarray:
+    """``values`` as a 1-d float64 array, finite and positive (or >= 0)."""
+    v = np.atleast_1d(np.asarray(values, dtype=np.float64))
+    lo, hi = float(v.min()), float(v.max())  # NaN propagates into both
+    if not ((lo >= 0.0 if zero_ok else lo > 0.0) and hi < math.inf):
+        sign = ">= 0" if zero_ok else "positive"
+        raise DomainError(f"{name} must be {sign} and finite, "
+                          f"got values from {lo!r} to {hi!r}")
+    return v
+
+
+def chain_prices(model: ModelSpec, spot: float, maturities, rates,
+                 strikes) -> np.ndarray:
+    """European call prices for every (maturity, rate, strike) quote on one spot.
+
+    The three quote arguments broadcast against each other (per-quote
+    arrays, or scalars shared by every quote); the result is a 1-d array.
+    A CEV chain is one vectorised Phi evaluation and one chi-squared call:
+    the Q1 side ``(2z, df1, 2y)`` and the Q2 side ``(2y, df0, 2z)`` of
+    every quote go through :func:`specfun.chi2_noncentral_sf_cdf`
+    together.  A BS chain is one normal-cdf pair.
+    """
+    if not 0.0 < spot < math.inf:
+        raise DomainError(f"spot must be positive and finite, got {spot!r}")
+    t = _quote_array(maturities, "maturity")
+    r = _quote_array(rates, "rate", zero_ok=True)
+    k = _quote_array(strikes, "strikes")
+    if model.family == Family.BS:
+        v = model.sigma ** 2 * driver_variance(model.driver, model.driver_params, t)
+        return black_scholes_call(spot, k, r, t, v)
+    a = model.alpha
+    k_s = 1.0 / _phi(model, r, t)
+    two_y, two_z = np.broadcast_arrays(
+        2.0 * k_s * spot ** (2.0 - a) * np.exp(r * (2.0 - a) * t),
+        2.0 * k_s * k ** (2.0 - a))
+    df0 = 2.0 / (2.0 - a)
+    n = two_y.size
+    sf, cdf = specfun.chi2_noncentral_sf_cdf(
+        np.concatenate((two_z, two_y)),
+        np.repeat((2.0 + df0, df0), n),
+        np.concatenate((two_y, two_z)))
+    return _assemble_call(spot, k * np.exp(-r * t),
+                          sf[:n], cdf[:n], sf[n:], cdf[n:])
+
+
 def call_prices(model: ModelSpec, env: MarketEnv, maturity: float,
                 strikes) -> np.ndarray:
     """European call prices for an array of strikes at one maturity.
 
-    A CEV slice is one vectorised chi-squared evaluation: the Q1 side
-    ``(2z, df1, 2y)`` and the Q2 side ``(2y, df0, 2z)`` of every strike go
-    through :func:`specfun.chi2_noncentral_sf_cdf` together.
+    The one-maturity case of :func:`chain_prices`.
     """
-    _check_maturity(maturity)
-    ks = np.atleast_1d(np.asarray(strikes, dtype=np.float64))
-    if not np.all((ks > 0.0) & np.isfinite(ks)):
-        raise DomainError("strikes must be positive and finite")
-    disc = math.exp(-env.rate * maturity)
-    if model.family == Family.BS:
-        v = model.sigma ** 2 * driver_variance(model.driver,
-                                               model.driver_params, maturity)
-        return black_scholes_call(env.spot, ks, env.rate, maturity, v)
-    a = model.alpha
-    ints = cev_intermediates(model, env, maturity, strike=float(ks[0]))
-    k_s, y_s = ints.k_s, ints.y_s
-    z = k_s * ks ** (2.0 - a)
-    df0 = 2.0 / (2.0 - a)
-    df1 = 2.0 + df0
-    n = ks.size
-    two_y = np.full(n, 2.0 * y_s)
-    sf, cdf = specfun.chi2_noncentral_sf_cdf(
-        np.concatenate((2.0 * z, two_y)),
-        np.repeat((df1, df0), n),
-        np.concatenate((two_y, 2.0 * z)))
-    return _assemble_call(env.spot, disc * ks, sf[:n], cdf[:n], sf[n:], cdf[n:])
+    return chain_prices(model, env.spot, maturity, env.rate, strikes)
 
 
 def call_price(model: ModelSpec, env: MarketEnv, maturity: float,

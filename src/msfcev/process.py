@@ -14,6 +14,7 @@ normal draws.
 from __future__ import annotations
 
 import io
+import math
 import os
 from dataclasses import dataclass
 
@@ -51,6 +52,10 @@ class MixedDriverParams:
     gamma: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("hurst", "beta", "gamma"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value!r}")
         if not 0.0 < self.hurst < 1.0:
             raise DomainError(f"hurst must lie in (0, 1), got {self.hurst!r}")
         if self.beta < 0.0 or self.gamma < 0.0:

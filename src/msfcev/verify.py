@@ -8,7 +8,8 @@ Three routes that do not share code with the analytic pricing path:
 * Monte Carlo pricers (exact terminal sampling for the BS family, an
   Euler scheme for the classical CEV) checked against the closed forms;
 * adaptive quadrature of the discounted payoff against the transition
-  density, checked against the chi-squared price formula.
+  density, checked against the chi-squared price formula, and of the
+  effective variance's defining integral, checked against its closed form.
 
 Pathwise Euler stepping is deliberately not offered for the mixed
 (sub-)fractional CEV: the calculus behind those dynamics is not the one a
@@ -38,6 +39,7 @@ __all__ = [
     "FpeSolution",
     "McConfig",
     "McResult",
+    "effective_variance_quadrature",
     "solve_fpe",
     "mc_price_msfbs",
     "mc_price_cev_classical",
@@ -309,6 +311,33 @@ def mc_price_cev_classical(model: ModelSpec, env: MarketEnv, maturity: float,
 
     price, se = _mc_payoff_stats(blocks(), disc, n_units)
     return McResult(price=price, se=se, n_paths=cfg.n_paths, seed=cfg.seed)
+
+
+def effective_variance_quadrature(model: ModelSpec, env: MarketEnv,
+                                  maturity: float) -> float:
+    """Phi(T) by adaptive quadrature of its defining integral.
+
+        Phi(T) = sigma^2 (2-alpha)^2 * integral_0^T [beta^2/2
+                 + gamma^2 * lambda(T-u)] * exp((2-alpha) r u) du
+    """
+    if model.family != Family.CEV:
+        raise DomainError("operation defined for the CEV family only")
+    if not 0.0 < maturity < math.inf:
+        raise DomainError(f"maturity must be positive and finite, got {maturity!r}")
+    p = model.driver_params
+    a = model.alpha
+    c = (2.0 - a) * env.rate
+
+    def integrand(u: float) -> float:
+        kern = 0.5 * p.beta ** 2
+        if p.gamma != 0.0 and model.driver != Driver.CLASSICAL:
+            kern += p.gamma ** 2 * diffusion_kernel(model.driver, p.hurst,
+                                                    maturity - u)
+        return kern * math.exp(c * u)
+
+    value, _ = integrate.quad(integrand, 0.0, maturity,
+                              epsabs=0.0, epsrel=1e-12, limit=500)
+    return model.sigma ** 2 * (2.0 - a) ** 2 * value
 
 
 def quadrature_price(model: ModelSpec, env: MarketEnv, maturity: float,

@@ -1,7 +1,19 @@
+import csv
+import pathlib
+
 import pytest
 
 from msfcev import calibrate as cal
 from msfcev import pricing
+
+
+@pytest.fixture(scope="session")
+def mpmath_table_rows():
+    """Rows of the benchmark's 80-digit price table (perfbench/mpmath_table.csv)."""
+    path = (pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+            / "mpmath_table.csv")
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 @pytest.fixture(scope="session")

@@ -179,7 +179,7 @@ class TestFit:
         def reject(*args):
             raise DomainError("outside the pricing domain")
 
-        monkeypatch.setattr(cal, "call_prices", reject)
+        monkeypatch.setattr(cal, "chain_prices", reject)
         cfg = cal.OptimizerConfig(n_starts=3, seed=0)
         with caplog.at_level(logging.WARNING, logger=cal.log.name):
             with pytest.raises(CalibrationError):

@@ -1,6 +1,7 @@
 import io
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -10,12 +11,11 @@ from scipy.stats import norm
 from msfcev.errors import DomainError
 from msfcev.pricing import (Driver, Family, MarketEnv, ModelSpec,
                             black_scholes_call, call_price, call_prices,
-                            cev_intermediates, diffusion_kernel,
-                            driver_variance, effective_variance,
-                            effective_variance_quadrature, price_curve,
+                            cev_intermediates, chain_prices, diffusion_kernel,
+                            driver_variance, effective_variance, price_curve,
                             transition_density, write_price_curve_csv)
 from msfcev.process import MixedDriverParams
-from msfcev.specfun import whittaker_m
+from msfcev.verify import effective_variance_quadrature
 
 
 def make(name, **kw):
@@ -135,13 +135,54 @@ class TestEffectiveVariance:
         m = make("msfcev", alpha=a, hurst=h, beta=1.0, gamma=1.0)
         z = (2 - a) * r * t
         brace = (2 * h + 1.0 + math.exp(0.5 * z) * z ** (-h)
-                 * whittaker_m(h, h + 0.5, z))
+                 * float(mpmath.whitm(h, h + 0.5, z)))
         gamma_part = (sigma ** 2 * (2 - a) ** 2 / (2 * h + 1.0) * t ** (2 * h)
                       * (1.0 - 2.0 ** (2 * h - 2.0)) * brace)
         beta_part = (sigma ** 2 / (2 * r) * (2 - a)
                      * (math.exp((2 - a) * r * t) - 1.0))
         assert effective_variance(m, env100, t) == pytest.approx(
             gamma_part + beta_part, rel=1e-12)
+
+    @pytest.mark.parametrize("h", [0.5, 0.75, 0.99])
+    def test_kummer_factors_match_mpmath(self, h):
+        # sigma 1, alpha 0, T 1 and r = z/2 make Phi exactly 2 M(1, 2, z)
+        # (classical driver) and 2 M(1, 1+2H, z) (fractional part alone)
+        beta_only = make("cev", sigma=1.0, alpha=0.0)
+        gamma_only = make("mfcev", sigma=1.0, alpha=0.0, hurst=h, beta=0.0,
+                          gamma=1.0)
+        b = 1.0 + 2.0 * h
+        for z in np.linspace(0.0, 0.5, 51):
+            env = MarketEnv(rate=0.5 * float(z), spot=100.0)
+            with mpmath.workdps(50):
+                m1 = mpmath.hyp1f1(1, 2, float(z))
+                mh = mpmath.hyp1f1(1, b, float(z))
+                got1 = mpmath.mpf(0.5 * effective_variance(beta_only, env, 1.0))
+                goth = mpmath.mpf(0.5 * effective_variance(gamma_only, env, 1.0))
+                assert abs(got1 - m1) <= 1e-15 * m1
+                assert abs(goth - mh) <= 1e-15 * mh
+        zero = MarketEnv(rate=0.0, spot=100.0)
+        assert effective_variance(beta_only, zero, 1.0) == 2.0
+        assert effective_variance(gamma_only, zero, 1.0) == 2.0
+
+    def test_matches_mpmath_on_table_rows(self, mpmath_table_rows):
+        # every row of the 80-digit price table, Phi against 50-digit mpmath
+        # of the same closed form on the same float inputs
+        assert len(mpmath_table_rows) == 63
+        for row in mpmath_table_rows:
+            s, a, h, r, t = (float(row[k]) for k in
+                             ("sigma", "alpha", "hurst", "rate", "maturity"))
+            m = ModelSpec.make(row["model"], sigma=s, alpha=a, hurst=h)
+            phi = effective_variance(m, MarketEnv(rate=r, spot=100.0), t)
+            p = m.driver_params
+            with mpmath.workdps(50):
+                z = mpmath.mpf((2.0 - a) * r * t)
+                weight = 2 - mpmath.power(2, 2 * mpmath.mpf(h) - 1)
+                ref = (mpmath.mpf(s) ** 2 * (2 - mpmath.mpf(a)) ** 2
+                       * (mpmath.mpf(p.beta) ** 2 / 2 * t * mpmath.hyp1f1(1, 2, z)
+                          + mpmath.mpf(p.gamma) ** 2 / 2 * weight
+                          * mpmath.power(t, 2 * mpmath.mpf(h))
+                          * mpmath.hyp1f1(1, 1.0 + 2.0 * h, z)))
+                assert abs(phi - ref) <= 1e-15 * ref
 
     @pytest.mark.parametrize("name,h", [("msfcev", 0.55), ("msfcev", 0.7),
                                         ("mfcev", 0.9), ("cev", 0.5)])
@@ -259,6 +300,70 @@ class TestTransitionDensity:
         assert dens.shape == grid.shape
         for s_t, d in zip(grid, dens):
             assert transition_density(m, env100, 0.7, float(s_t)) == d
+
+
+class TestChainPrices:
+    MATURITIES = (0.25, 1.0, 2.0)
+    RATES = (0.01, 0.05)
+    STRIKES = np.linspace(70.0, 150.0, 9)
+
+    @pytest.mark.parametrize("name", ["bs", "mfbs", "msfbs", "cev", "mfcev",
+                                      "msfcev"])
+    def test_equals_call_prices_slices_bit_for_bit(self, name):
+        m = make(name, alpha=0.8, hurst=0.75)
+        ts, rs, ks, slices = [], [], [], []
+        for r in self.RATES:
+            for t in self.MATURITIES:
+                ts += [t] * self.STRIKES.size
+                rs += [r] * self.STRIKES.size
+                ks += self.STRIKES.tolist()
+                slices.append(call_prices(m, MarketEnv(rate=r, spot=100.0), t,
+                                          self.STRIKES))
+        chain = chain_prices(m, 100.0, np.array(ts), np.array(rs),
+                             np.array(ks))
+        np.testing.assert_array_equal(chain, np.concatenate(slices))
+
+    def test_scalars_broadcast(self, env100):
+        m = make("msfcev", alpha=1.2, hurst=0.75)
+        one = chain_prices(m, 100.0, 1.0, 0.05, 100.0)
+        assert one.shape == (1,)
+        assert one[0] == call_price(m, env100, 1.0, 100.0)
+        ts = np.array([0.5, 1.0, 2.0])
+        np.testing.assert_array_equal(
+            chain_prices(m, 100.0, ts, 0.05, 100.0),
+            [call_price(m, env100, float(t), 100.0) for t in ts])
+
+    @pytest.mark.parametrize("name", ["msfcev", "bs"])
+    def test_bad_quotes_rejected(self, name):
+        m = make(name, alpha=1.2, hurst=0.75)
+        good = np.array([1.0, 2.0])
+        for bad in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(DomainError, match="maturity"):
+                chain_prices(m, 100.0, [1.0, bad], 0.05, good)
+            with pytest.raises(DomainError, match="strikes"):
+                chain_prices(m, 100.0, good, 0.05, [100.0, bad])
+            with pytest.raises(DomainError, match="spot"):
+                chain_prices(m, bad, good, 0.05, 100.0)
+        for bad in (math.nan, math.inf, -0.01):
+            with pytest.raises(DomainError, match="rate"):
+                chain_prices(m, 100.0, good, [0.05, bad], 100.0)
+
+    def test_bs_broadcasts_over_maturity_and_rate(self):
+        p = MixedDriverParams(hurst=0.7, beta=1.0, gamma=1.0)
+        ts = np.array([0.1, 1.0, 3.0])
+        rs = np.array([0.0, 0.02, 0.05])
+        vs = 0.04 * driver_variance(Driver.MIXED_SUB_FRACTIONAL, p, ts)
+        for i, t in enumerate(ts):
+            assert vs[i] == 0.04 * driver_variance(Driver.MIXED_SUB_FRACTIONAL,
+                                                   p, float(t))
+        got = black_scholes_call(100.0, 105.0, rs, ts, vs)
+        pointwise = [black_scholes_call(100.0, 105.0, float(r), float(t),
+                                        float(v))
+                     for r, t, v in zip(rs, ts, vs)]
+        np.testing.assert_allclose(got, pointwise, rtol=1e-14)
+        # zero total variance is intrinsic value
+        assert black_scholes_call(100.0, 90.0, 0.05, 1.0, 0.0) == \
+            pytest.approx(100.0 - 90.0 * math.exp(-0.05), rel=1e-15)
 
 
 class TestCallPrice:

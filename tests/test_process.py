@@ -58,6 +58,13 @@ class TestCovariances:
         with pytest.raises(DomainError):
             MixedDriverParams(hurst=1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["hurst", "beta", "gamma"])
+    def test_non_finite_params_rejected(self, field, bad):
+        values = {"hurst": 0.7, "beta": 1.0, "gamma": 1.0, field: bad}
+        with pytest.raises(DomainError, match=f"{field} must be finite"):
+            MixedDriverParams(**values)
+
 
 class TestIncrements:
     def test_brownian_increments_independent(self):

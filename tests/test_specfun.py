@@ -4,14 +4,14 @@ import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import gammaln, ive
+from scipy.special import gammaln, hyp1f1, ive
 from scipy.stats import ncx2
 
-from msfcev.errors import ConvergenceError, DomainError
-from msfcev.specfun import (DEFAULT_TOLERANCE, Tolerance,
-                            bessel_i, bessel_i_scaled, chi2_noncentral_cdf,
+from msfcev.errors import DomainError
+from msfcev.pricing import MarketEnv, ModelSpec, cev_intermediates
+from msfcev.specfun import (bessel_i_scaled, chi2_noncentral_cdf,
                             chi2_noncentral_sf, chi2_noncentral_sf_cdf,
-                            kummer_m, log_bessel_i, log_gamma, whittaker_m)
+                            log_gamma)
 
 
 def brute_bessel_series(order, z, terms=3000):
@@ -47,20 +47,24 @@ class TestLogGamma:
 
 class TestBesselI:
     def test_half_integer_closed_forms(self):
+        # exp(-z) sinh z = (1 - e^{-2z}) / 2 and exp(-z) cosh z = (1 + e^{-2z}) / 2
         for z in (0.5, 1.0, 3.0, 10.0, 25.0):
-            i_half = math.sqrt(2.0 / (math.pi * z)) * math.sinh(z)
-            i_three_half = math.sqrt(2.0 / (math.pi * z)) * (math.cosh(z)
-                                                             - math.sinh(z) / z)
-            assert bessel_i(0.5, z) == pytest.approx(i_half, rel=1e-10)
-            assert bessel_i(1.5, z) == pytest.approx(i_three_half, rel=1e-10)
+            root = math.sqrt(2.0 / (math.pi * z))
+            sinh_s = 0.5 * -math.expm1(-2.0 * z)
+            cosh_s = 0.5 * (1.0 + math.exp(-2.0 * z))
+            assert bessel_i_scaled(0.5, z) == pytest.approx(root * sinh_s,
+                                                            rel=1e-10)
+            assert bessel_i_scaled(1.5, z) == pytest.approx(
+                root * (cosh_s - sinh_s / z), rel=1e-10)
 
     def test_spec_examples(self):
-        assert bessel_i(0.5, 1.0) == pytest.approx(
-            math.sqrt(2.0 / math.pi) * math.sinh(1.0), rel=1e-12)
-        assert bessel_i(1.0, 0.0) == 0.0
-        assert bessel_i(0.0, 0.0) == 1.0
-        assert bessel_i(2.0, 3.0) == pytest.approx(
-            brute_bessel_series(2.0, 3.0), rel=1e-12)
+        assert bessel_i_scaled(0.5, 1.0) == pytest.approx(
+            math.sqrt(2.0 / math.pi) * math.sinh(1.0) * math.exp(-1.0),
+            rel=1e-12)
+        assert bessel_i_scaled(1.0, 0.0) == 0.0
+        assert bessel_i_scaled(0.0, 0.0) == 1.0
+        assert bessel_i_scaled(2.0, 3.0) == pytest.approx(
+            brute_bessel_series(2.0, 3.0) * math.exp(-3.0), rel=1e-12)
 
     @pytest.mark.parametrize("order", [0.0, 0.5, 1.0, 2.0, 7.5, 50.0, 200.0])
     @pytest.mark.parametrize("z", [1e-6, 0.1, 1.0, 10.0, 29.9, 30.1, 120.0, 700.0])
@@ -83,8 +87,6 @@ class TestBesselI:
         with mpmath.workdps(30):
             ref = float(mpmath.besseli(order, z) * mpmath.exp(-z))
         assert bessel_i_scaled(order, z) == pytest.approx(ref, rel=1e-10)
-        assert log_bessel_i(order, z) == pytest.approx(math.log(ref) + z,
-                                                       rel=1e-13)
 
     def test_array_arguments_broadcast(self):
         orders = np.array([[0.0], [2.5], [40.0]])
@@ -100,79 +102,82 @@ class TestBesselI:
             bessel_i_scaled(np.array([1.0, math.nan]), 1.0)
 
     def test_scaled_matches_log_path(self):
-        for order, z in ((0.0, 5.0), (1.0, 50.0), (3.3, 400.0), (40.0, 90.0)):
-            direct = bessel_i_scaled(order, z)
-            via_log = math.exp(log_bessel_i(order, z) - z)
-            assert direct == pytest.approx(via_log, rel=1e-9)
+        # past z ~ 713 the unscaled I_nu overflows; mpmath's log I_nu - z
+        # at 30 digits is the independent route to the scaled value
+        for order, z in ((0.0, 5.0), (1.0, 50.0), (3.3, 400.0), (40.0, 90.0),
+                         (2.5, 900.0)):
+            with mpmath.workdps(30):
+                via_log = float(mpmath.exp(mpmath.log(mpmath.besseli(order, z))
+                                           - z))
+            assert bessel_i_scaled(order, z) == pytest.approx(via_log, rel=1e-9)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            bessel_i(-0.5, 1.0)
+            bessel_i_scaled(-0.5, 1.0)
         with pytest.raises(DomainError):
-            bessel_i(1.0, -1.0)
+            bessel_i_scaled(1.0, -1.0)
         with pytest.raises(DomainError):
-            bessel_i(1.0, math.inf)
+            bessel_i_scaled(1.0, math.inf)
+
+
+def whittaker_via_hyp1f1(kappa, mu, z):
+    """M_{kappa,mu}(z) = e^{-z/2} z^{mu+1/2} M(mu-kappa+1/2, 1+2mu, z)."""
+    return (math.exp(-0.5 * z + (mu + 0.5) * math.log(z))
+            * hyp1f1(mu - kappa + 0.5, 1.0 + 2.0 * mu, z))
 
 
 class TestKummerM:
+    """Kummer M as the effective variance evaluates it, ``scipy.special.hyp1f1``."""
+
     def test_examples(self):
-        assert kummer_m(1.0, 3.0, 0.0) == 1.0
+        assert hyp1f1(1.0, 3.0, 0.0) == 1.0
         closed = 2.0 * (math.e - 2.0)
-        assert kummer_m(1.0, 3.0, 1.0) == pytest.approx(closed, rel=1e-12)
-        assert kummer_m(2.0, 2.0, 1.0) == pytest.approx(math.e, rel=1e-12)
+        assert hyp1f1(1.0, 3.0, 1.0) == pytest.approx(closed, rel=1e-12)
+        assert hyp1f1(2.0, 2.0, 1.0) == pytest.approx(math.e, rel=1e-12)
 
     @pytest.mark.parametrize("a,b", [(1.0, 2.0), (1.0, 2.4), (0.7, 3.1),
                                      (2.5, 5.0)])
     @pytest.mark.parametrize("z", [1e-8, 0.02, 1.0, 30.0, 250.0, 700.0])
     def test_against_mpmath(self, a, b, z):
         ref = float(mpmath.hyp1f1(a, b, z))
-        assert kummer_m(a, b, z) == pytest.approx(ref, rel=1e-10)
+        assert hyp1f1(a, b, z) == pytest.approx(ref, rel=1e-10)
 
     def test_closed_form_m_1_3(self):
         for z in (0.5, 2.0, 20.0):
             closed = 2.0 * (math.exp(z) - 1.0 - z) / z ** 2
-            assert kummer_m(1.0, 3.0, z) == pytest.approx(closed, rel=1e-12)
-
-    def test_domain_and_convergence(self):
-        with pytest.raises(DomainError):
-            kummer_m(1.0, 0.0, 1.0)
-        with pytest.raises(DomainError):
-            kummer_m(1.0, -2.0, 1.0)
-        with pytest.raises(DomainError):
-            kummer_m(1.0, 3.0, -1.0)
-        with pytest.raises(ConvergenceError):
-            kummer_m(1.0, 3.0, 500.0, Tolerance(max_terms=5))
+            assert hyp1f1(1.0, 3.0, z) == pytest.approx(closed, rel=1e-12)
 
 
 class TestWhittakerM:
+    """The Whittaker form behind Phi, built on hyp1f1, against mpmath.whitm."""
+
     def test_reduction_to_kummer_closed_form(self):
-        expected = math.exp(-0.5) * kummer_m(1.0, 3.0, 1.0)
-        assert whittaker_m(0.5, 1.0, 1.0) == pytest.approx(expected, rel=1e-12)
+        expected = math.exp(-0.5) * 2.0 * (math.e - 2.0)
+        assert float(mpmath.whitm(0.5, 1.0, 1.0)) == pytest.approx(expected,
+                                                                   rel=1e-12)
+        assert whittaker_via_hyp1f1(0.5, 1.0, 1.0) == pytest.approx(expected,
+                                                                    rel=1e-12)
 
     def test_against_mpmath(self):
         for kappa, mu, z in ((0.7, 1.2, 0.5), (0.5, 1.0, 3.0), (0.9, 1.4, 0.01)):
             ref = float(mpmath.whitm(kappa, mu, z))
-            assert whittaker_m(kappa, mu, z) == pytest.approx(ref, rel=1e-10)
+            assert whittaker_via_hyp1f1(kappa, mu, z) == pytest.approx(ref,
+                                                                       rel=1e-10)
 
     def test_consistency_with_kummer_entry_point(self):
-        # M_{k,m}(z) * e^{z/2} * z^{-m-1/2} must reproduce kummer_m
+        # M_{k,m}(z) * e^{z/2} * z^{-m-1/2} must reproduce hyp1f1
         for kappa, mu, z in ((0.5, 1.0, 1.0), (0.7, 1.2, 0.5), (0.6, 1.1, 4.0)):
-            lhs = (whittaker_m(kappa, mu, z) * math.exp(0.5 * z)
-                   * z ** (-(mu + 0.5)))
-            rhs = kummer_m(mu - kappa + 0.5, 1.0 + 2.0 * mu, z)
+            with mpmath.workdps(30):
+                lhs = float(mpmath.whitm(kappa, mu, z) * mpmath.exp(0.5 * z)
+                            * mpmath.power(z, -(mu + 0.5)))
+            rhs = hyp1f1(mu - kappa + 0.5, 1.0 + 2.0 * mu, z)
             assert lhs == pytest.approx(rhs, rel=1e-13)
 
     def test_leading_order_at_zero(self):
         z = 1e-10
-        ratio = whittaker_m(0.5, 1.0, z) / z ** 1.5
+        ratio = whittaker_via_hyp1f1(0.5, 1.0, z) / z ** 1.5
         assert ratio == pytest.approx(1.0, rel=1e-6)
-        assert whittaker_m(0.5, 1.0, z) < 1e-14
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            whittaker_m(0.5, 1.0, 0.0)
-        with pytest.raises(DomainError):
-            whittaker_m(0.5, -0.5, 1.0)  # 1 + 2 mu = 0
+        assert whittaker_via_hyp1f1(0.5, 1.0, z) < 1e-14
 
 
 def ncx2_quadrature_oracle(x, df, nc):
@@ -264,6 +269,34 @@ class TestChi2Noncentral:
         sf, cdf = chi2_noncentral_sf_cdf(4.0, 3.0, 2.0)
         assert isinstance(sf, float) and isinstance(cdf, float)
 
+    def test_ufunc_route_matches_stats_bit_for_bit(self, mpmath_table_rows):
+        # the survival function calls Boost's ufunc under scipy.stats.ncx2.sf
+        # directly; pin it to ncx2.sf on the arguments that pricing builds
+        # for every row of the 80-digit table, and on the x = 0 and nc = 0
+        # edges where the bare ufunc differs from ncx2.sf
+        xs, dfs, ncs = [], [], []
+        for row in mpmath_table_rows:
+            m = ModelSpec.make(row["model"], sigma=float(row["sigma"]),
+                               alpha=float(row["alpha"]),
+                               hurst=float(row["hurst"]))
+            env = MarketEnv(rate=float(row["rate"]), spot=float(row["spot"]))
+            ints = cev_intermediates(m, env, float(row["maturity"]),
+                                     float(row["strike"]))
+            df0 = 2.0 / (2.0 - m.alpha)
+            xs += [2.0 * ints.z_s, 2.0 * ints.y_s]
+            dfs += [2.0 + df0, df0]
+            ncs += [2.0 * ints.y_s, 2.0 * ints.z_s]
+        edges = [(0.0, 3.0, 2.0), (0.0, 2002.0, 1e4), (0.0, 0.5, 0.0),
+                 (2.0, 3.0, 0.0), (0.3, 2.5, 0.0), (5000.0, 2000.0, 0.0)]
+        for x, df, nc in edges:
+            xs.append(x)
+            dfs.append(df)
+            ncs.append(nc)
+            assert chi2_noncentral_sf(x, df, nc) == float(ncx2.sf(x, df, nc))
+        xs, dfs, ncs = np.array(xs), np.array(dfs), np.array(ncs)
+        sf, _ = chi2_noncentral_sf_cdf(xs, dfs, ncs)
+        np.testing.assert_array_equal(sf, ncx2.sf(xs, dfs, ncs))
+
     def test_errors(self):
         with pytest.raises(DomainError):
             chi2_noncentral_sf(-1.0, 3.0, 2.0)
@@ -271,16 +304,3 @@ class TestChi2Noncentral:
             chi2_noncentral_sf(1.0, 0.0, 2.0)
         with pytest.raises(DomainError):
             chi2_noncentral_sf(1.0, 3.0, -2.0)
-
-
-class TestTolerance:
-    def test_defaults(self):
-        assert DEFAULT_TOLERANCE.abs_tol == 1e-13
-        assert DEFAULT_TOLERANCE.rel_tol == 1e-12
-        assert DEFAULT_TOLERANCE.max_terms == 10_000
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            Tolerance(abs_tol=0.0)
-        with pytest.raises(DomainError):
-            Tolerance(max_terms=0)
