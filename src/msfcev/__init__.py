@@ -9,7 +9,8 @@ Library layout:
   ``scipy.special.hyp1f1``), transition density and closed-form call
   prices for the six-model catalog, one option chain per call;
 * :mod:`msfcev.verify`    -- independent oracles (forward-equation solver,
-  Monte Carlo, payoff and effective-variance quadrature);
+  Monte Carlo, payoff and effective-variance quadrature) and the
+  ``msfcev verify`` suite with its tolerances, ``run_checks``;
 * :mod:`msfcev.calibrate` -- MSE fitting of option chains;
 * :mod:`msfcev.cli`       -- command-line front end.
 """

@@ -194,9 +194,14 @@ def load_chain(source, moneyness_filter: bool = False) -> OptionChain:
                                    f"{len(CHAIN_HEADER)} fields, got {len(row)}")
         date = row[0].strip()
         try:
-            spot, rate, strike, maturity, mid = (float(v) for v in row[1:])
+            values = [float(v) for v in row[1:]]
         except ValueError as exc:
             raise ChainFormatError(f"row {row_no}: {exc}") from None
+        for field, value in zip(CHAIN_HEADER[1:], values):
+            if not math.isfinite(value):
+                raise ChainFormatError(
+                    f"row {row_no}: {field} must be finite, got {value!r}")
+        spot, rate, strike, maturity, mid = values
         if strike <= 0.0:
             raise ChainFormatError(f"row {row_no}: strike must be positive")
         if maturity <= 0.0:

@@ -120,68 +120,15 @@ def _cmd_simulate(args) -> int:
 def _cmd_verify(args) -> int:
     model = _build_model(args)
     env = pricing.MarketEnv(rate=args.rate, spot=args.spot)
-    rows = []
-
-    def add(name, value, tol, ok):
-        rows.append((name, value, tol, ok))
-
-    if model.family == pricing.Family.CEV:
-        phi_c = pricing.effective_variance(model, env, args.maturity)
-        phi_q = verify.effective_variance_quadrature(model, env, args.maturity)
-        rel = abs(phi_c - phi_q) / phi_q
-        add("phi_closed_vs_quadrature_rel", rel, 1e-9, rel <= 1e-9)
-
-        price = pricing.call_price(model, env, args.maturity, args.strike)
-        quad = verify.quadrature_price(model, env, args.maturity, args.strike)
-        rel = abs(price - quad) / max(quad, 1e-300)
-        add("price_closed_vs_quadrature_rel", rel, 1e-6, rel <= 1e-6)
-
-        mass = verify.quadrature_price(model, env, args.maturity, 0.0)
-        lhs = mass / (env.spot)
-        add("discounted_mean_over_spot", lhs, 1.001, 0.0 <= lhs <= 1.0 + 1e-6)
-
-        if model.driver == pricing.Driver.CLASSICAL and args.with_mc:
-            cfg = verify.McConfig(n_paths=args.mc_paths,
-                                  n_steps=max(10, int(200 * args.maturity)),
-                                  seed=args.seed)
-            mc = verify.mc_price_cev_classical(model, env, args.maturity,
-                                               args.strike, cfg)
-            zsc = abs(mc.price - price) / mc.se if mc.se > 0 else 0.0
-            add("euler_mc_z_score", zsc, 3.0, zsc <= 3.0)
-        if args.with_fpe:
-            ints = pricing.cev_intermediates(model, env, args.maturity,
-                                             args.strike)
-            x0 = env.spot ** (2.0 - model.alpha)
-            x_hi = (ints.y_s + 12.0 * math.sqrt(ints.y_s) + 60.0) / ints.k_s
-            grid = verify.FpeGrid(x_min=0.0, x_max=max(x_hi, 1.5 * x0),
-                                  n_space=2400, n_time=600)
-            sol = verify.solve_fpe(model, env, args.maturity, grid)
-            keep = sol.s > 0
-            closed = pricing.transition_density(model, env, args.maturity,
-                                                sol.s[keep])
-            l1 = float(np.trapezoid(np.abs(sol.density_s[keep] - closed),
-                                    sol.s[keep]))
-            add("fpe_l1_distance", l1, 1e-2, l1 <= 1e-2)
-    else:
-        price = pricing.call_price(model, env, args.maturity, args.strike)
-        cfg = verify.McConfig(n_paths=args.mc_paths, seed=args.seed)
-        mc = verify.mc_price_msfbs(model, env, args.maturity, args.strike, cfg)
-        zsc = abs(mc.price - price) / mc.se if mc.se > 0 else 0.0
-        add("exact_mc_z_score", zsc, 3.0, zsc <= 3.0)
-
-    lower = max(env.spot - args.strike * math.exp(-args.rate * args.maturity), 0.0)
-    price = pricing.call_price(model, env, args.maturity, args.strike)
-    in_bounds = lower - 1e-9 <= price <= env.spot + 1e-9
-    add("price_within_rational_bounds", price, env.spot, in_bounds)
-
-    width = max(len(r[0]) for r in rows)
+    checks = verify.run_checks(model, env, args.maturity, args.strike,
+                               seed=args.seed, mc_paths=args.mc_paths,
+                               with_mc=args.with_mc, with_fpe=args.with_fpe)
+    width = max(len(c.name) for c in checks)
     print(f"{'check'.ljust(width)}  {'value':>14}  {'tolerance':>12}  status")
-    all_ok = True
-    for name, value, tol, ok in rows:
-        all_ok &= ok
-        print(f"{name.ljust(width)}  {value:14.6e}  {tol:12.3e}  "
-              f"{'PASS' if ok else 'FAIL'}")
-    return 0 if all_ok else 2
+    for c in checks:
+        print(f"{c.name.ljust(width)}  {c.value:14.6e}  {c.tol:12.3e}  "
+              f"{'PASS' if c.passed else 'FAIL'}")
+    return 0 if all(c.passed for c in checks) else 2
 
 
 def _cmd_calibrate(args) -> int:

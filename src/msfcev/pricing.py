@@ -34,7 +34,6 @@ its one-maturity case.
 
 from __future__ import annotations
 
-import io
 import math
 import os
 from dataclasses import dataclass, replace
@@ -195,15 +194,13 @@ class PricingIntermediates:
     """Scale constants of one (model, maturity, strike) evaluation.
 
     ``k_s = 1/Phi(T)``; ``y_s``, ``z_s`` are the spot and strike mapped to
-    chi-squared coordinates; ``w_s`` is filled only when a terminal price
-    is involved (density evaluation).
+    chi-squared coordinates.
     """
 
     phi: float
     k_s: float
     y_s: float
     z_s: float
-    w_s: float | None = None
 
 
 def diffusion_kernel(driver: Driver, hurst: float, t: float) -> float:
@@ -459,8 +456,3 @@ def write_price_curve_csv(rows, target) -> None:
     for a, h, name, price in rows:
         target.write(f"{a:.12g},{h:.12g},{name},{price:.12g}\n")
 
-
-def price_curve_csv_string(rows) -> str:
-    buf = io.StringIO()
-    write_price_curve_csv(rows, buf)
-    return buf.getvalue()

@@ -2,12 +2,12 @@
 
 Domain-checked functions the pricing engine rests on:
 
-* ``log_gamma``            -- log of the gamma function on the positive axis,
-* ``bessel_i_scaled``      -- exponentially scaled modified Bessel function
+* ``log_gamma`` -- log of the gamma function on the positive axis,
+* ``bessel_i_scaled`` -- exponentially scaled modified Bessel function
   of the first kind, ``exp(-z) * I_nu(z)`` for real order ``nu >= 0``,
   overflow-free inside transition densities,
-* ``chi2_noncentral_sf``   -- survival function of the non-central
-  chi-squared distribution, plus its complementary ``chi2_noncentral_cdf``.
+* ``chi2_noncentral_sf_cdf`` -- survival and distribution functions of the
+  non-central chi-squared distribution, together.
 
 The Bessel and chi-squared functions broadcast over array arguments and
 evaluate through scipy's vectorised ufuncs: ``scipy.special.ive`` (Amos)
@@ -33,8 +33,6 @@ from .errors import DomainError
 __all__ = [
     "log_gamma",
     "bessel_i_scaled",
-    "chi2_noncentral_sf",
-    "chi2_noncentral_cdf",
     "chi2_noncentral_sf_cdf",
 ]
 
@@ -122,12 +120,3 @@ def chi2_noncentral_sf_cdf(x, df, noncentrality):
     return (_float_if_scalar(sf),
             _float_if_scalar(special.chndtr(x, df, nc)))
 
-
-def chi2_noncentral_sf(x, df, noncentrality):
-    """Survival function ``Q(x; df, nc) = P(chi2_df(nc) > x)``."""
-    return chi2_noncentral_sf_cdf(x, df, noncentrality)[0]
-
-
-def chi2_noncentral_cdf(x, df, noncentrality):
-    """Distribution function ``1 - Q(x; df, nc)``, computed directly."""
-    return chi2_noncentral_sf_cdf(x, df, noncentrality)[1]

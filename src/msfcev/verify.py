@@ -11,6 +11,9 @@ Three routes that do not share code with the analytic pricing path:
   density, checked against the chi-squared price formula, and of the
   effective variance's defining integral, checked against its closed form.
 
+:func:`run_checks` runs these routes as the ``msfcev verify`` suite and
+returns one :class:`Check` row each; the suite's tolerances live only there.
+
 Pathwise Euler stepping is deliberately not offered for the mixed
 (sub-)fractional CEV: the calculus behind those dynamics is not the one a
 naive Euler scheme discretizes, so the PDE route is the valid dynamic
@@ -30,11 +33,13 @@ from scipy import integrate
 from scipy.linalg import solve_banded
 
 from .errors import DomainError, NumericalError
-from .pricing import (Driver, Family, MarketEnv, ModelSpec, cev_intermediates,
-                      diffusion_kernel, driver_variance, transition_density)
+from .pricing import (Driver, Family, MarketEnv, ModelSpec, call_price,
+                      cev_intermediates, diffusion_kernel, driver_variance,
+                      effective_variance, transition_density)
 from .process import block_rng
 
 __all__ = [
+    "Check",
     "FpeGrid",
     "FpeSolution",
     "McConfig",
@@ -44,11 +49,9 @@ __all__ = [
     "mc_price_msfbs",
     "mc_price_cev_classical",
     "quadrature_price",
+    "run_checks",
     "write_density_csv",
 ]
-
-_MC_BLOCK = 65536
-
 
 @dataclass(frozen=True)
 class FpeGrid:
@@ -105,6 +108,34 @@ class McResult:
                            "n_paths": self.n_paths, "seed": self.seed})
 
 
+@dataclass(frozen=True)
+class Check:
+    """One row of the oracle suite: ``value`` passes when it is at most ``tol``.
+
+    Every row's value is a distance, error or score that is 0 when the
+    oracle agrees exactly, so a NaN value fails.
+    """
+
+    name: str
+    value: float
+    tol: float
+
+    @property
+    def passed(self) -> bool:
+        return self.value <= self.tol
+
+
+def _check_inputs(maturity: float, strike: float | None = None,
+                  zero_strike_ok: bool = False) -> None:
+    """Reject a maturity or strike outside an oracle's domain, NaN and inf included."""
+    if not 0.0 < maturity < math.inf:
+        raise DomainError(f"maturity must be positive and finite, got {maturity!r}")
+    if strike is not None and not (
+            (0.0 <= strike if zero_strike_ok else 0.0 < strike) and strike < math.inf):
+        sign = ">= 0" if zero_strike_ok else "positive"
+        raise DomainError(f"strike must be {sign} and finite, got {strike!r}")
+
+
 def solve_fpe(model: ModelSpec, env: MarketEnv, maturity: float,
               grid: FpeGrid, initial_spot: float | None = None) -> FpeSolution:
     """Crank-Nicolson solution of the forward equation in x = S^(2-alpha).
@@ -119,8 +150,7 @@ def solve_fpe(model: ModelSpec, env: MarketEnv, maturity: float,
     """
     if model.family != Family.CEV:
         raise DomainError("the forward-equation oracle covers the CEV family only")
-    if maturity <= 0.0:
-        raise DomainError("maturity must be positive")
+    _check_inputs(maturity)
     spot = env.spot if initial_spot is None else float(initial_spot)
     a = model.alpha
     p = model.driver_params
@@ -203,16 +233,29 @@ def solve_fpe(model: ModelSpec, env: MarketEnv, maturity: float,
                        conservation_drift=drift_max)
 
 
-def _mc_payoff_stats(payoffs_per_block, disc: float, n_units: int):
-    total = 0.0
-    total_sq = 0.0
-    for block in payoffs_per_block:
-        total += float(block.sum())
-        total_sq += float((block ** 2).sum())
+def _mc_price(cfg: McConfig, disc: float, block: int, draw_shape: tuple,
+              payoff) -> McResult:
+    """Discounted Monte Carlo mean of ``payoff(z)`` and its standard error.
+
+    Block ``b`` of at most ``block`` draws of standard normals, each of shape
+    ``draw_shape``, comes from ``block_rng(cfg.seed, b)``, so a seed fixes
+    the result on every machine.  With ``cfg.antithetic`` each draw is
+    paired with its negation and the pair's mean payoff is one sample.
+    """
+    if cfg.antithetic and cfg.n_paths % 2:
+        raise DomainError("antithetic sampling needs an even n_paths")
+    n_units = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
+    total = total_sq = 0.0
+    for b, done in enumerate(range(0, n_units, block)):
+        z = block_rng(cfg.seed, b).standard_normal(
+            (min(block, n_units - done),) + draw_shape)
+        y = 0.5 * (payoff(z) + payoff(-z)) if cfg.antithetic else payoff(z)
+        total += float(y.sum())
+        total_sq += float((y ** 2).sum())
     mean = total / n_units
     var = max(total_sq / n_units - mean ** 2, 0.0)
-    se = disc * math.sqrt(var / n_units)
-    return disc * mean, se
+    return McResult(price=disc * mean, se=disc * math.sqrt(var / n_units),
+                    n_paths=cfg.n_paths, seed=cfg.seed)
 
 
 def mc_price_msfbs(model: ModelSpec, env: MarketEnv, maturity: float,
@@ -225,34 +268,16 @@ def mc_price_msfbs(model: ModelSpec, env: MarketEnv, maturity: float,
     """
     if model.family != Family.BS:
         raise DomainError("mc_price_msfbs covers the BS family only")
-    if maturity <= 0.0 or strike <= 0.0:
-        raise DomainError("maturity and strike must be positive")
+    _check_inputs(maturity, strike)
     v = model.sigma ** 2 * driver_variance(model.driver, model.driver_params,
                                            maturity)
     sd = math.sqrt(v)
     drift = env.rate * maturity - 0.5 * v
-    disc = math.exp(-env.rate * maturity)
-    n_units = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
-    if cfg.antithetic and cfg.n_paths % 2:
-        raise DomainError("antithetic sampling needs an even n_paths")
 
-    def blocks():
-        done = 0
-        b = 0
-        while done < n_units:
-            take = min(_MC_BLOCK, n_units - done)
-            z = block_rng(cfg.seed, b).standard_normal(take)
-            if cfg.antithetic:
-                up = np.maximum(env.spot * np.exp(drift + sd * z) - strike, 0.0)
-                dn = np.maximum(env.spot * np.exp(drift - sd * z) - strike, 0.0)
-                yield 0.5 * (up + dn)
-            else:
-                yield np.maximum(env.spot * np.exp(drift + sd * z) - strike, 0.0)
-            done += take
-            b += 1
+    def payoff(z: np.ndarray) -> np.ndarray:
+        return np.maximum(env.spot * np.exp(drift + sd * z) - strike, 0.0)
 
-    price, se = _mc_payoff_stats(blocks(), disc, n_units)
-    return McResult(price=price, se=se, n_paths=cfg.n_paths, seed=cfg.seed)
+    return _mc_price(cfg, math.exp(-env.rate * maturity), 65536, (), payoff)
 
 
 def mc_price_cev_classical(model: ModelSpec, env: MarketEnv, maturity: float,
@@ -264,8 +289,7 @@ def mc_price_cev_classical(model: ModelSpec, env: MarketEnv, maturity: float,
     """
     if model.family != Family.CEV or model.driver != Driver.CLASSICAL:
         raise DomainError("the Euler oracle covers the classical-driver CEV only")
-    if maturity <= 0.0 or strike <= 0.0:
-        raise DomainError("maturity and strike must be positive")
+    _check_inputs(maturity, strike)
     if cfg.n_steps < 200 * maturity:
         warnings.warn(
             f"n_steps = {cfg.n_steps} is below the 200 * T = {200 * maturity:.0f} "
@@ -275,12 +299,8 @@ def mc_price_cev_classical(model: ModelSpec, env: MarketEnv, maturity: float,
     half_alpha = 0.5 * model.alpha
     dt = maturity / cfg.n_steps
     sq_dt = math.sqrt(dt)
-    disc = math.exp(-env.rate * maturity)
-    n_units = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
-    if cfg.antithetic and cfg.n_paths % 2:
-        raise DomainError("antithetic sampling needs an even n_paths")
 
-    def evolve(z: np.ndarray) -> np.ndarray:
+    def payoff(z: np.ndarray) -> np.ndarray:
         s = np.full(z.shape[0], env.spot)
         alive = np.ones(z.shape[0], dtype=bool)
         for step in range(cfg.n_steps):
@@ -292,25 +312,10 @@ def mc_price_cev_classical(model: ModelSpec, env: MarketEnv, maturity: float,
             if np.any(dead):
                 idx = np.flatnonzero(alive)
                 alive[idx[dead]] = False
-        return s
+        return np.maximum(s - strike, 0.0)
 
-    def blocks():
-        done = 0
-        b = 0
-        while done < n_units:
-            take = min(16384, n_units - done)
-            z = block_rng(cfg.seed, b).standard_normal((take, cfg.n_steps))
-            if cfg.antithetic:
-                up = np.maximum(evolve(z) - strike, 0.0)
-                dn = np.maximum(evolve(-z) - strike, 0.0)
-                yield 0.5 * (up + dn)
-            else:
-                yield np.maximum(evolve(z) - strike, 0.0)
-            done += take
-            b += 1
-
-    price, se = _mc_payoff_stats(blocks(), disc, n_units)
-    return McResult(price=price, se=se, n_paths=cfg.n_paths, seed=cfg.seed)
+    return _mc_price(cfg, math.exp(-env.rate * maturity), 16384,
+                     (cfg.n_steps,), payoff)
 
 
 def effective_variance_quadrature(model: ModelSpec, env: MarketEnv,
@@ -322,8 +327,7 @@ def effective_variance_quadrature(model: ModelSpec, env: MarketEnv,
     """
     if model.family != Family.CEV:
         raise DomainError("operation defined for the CEV family only")
-    if not 0.0 < maturity < math.inf:
-        raise DomainError(f"maturity must be positive and finite, got {maturity!r}")
+    _check_inputs(maturity)
     p = model.driver_params
     a = model.alpha
     c = (2.0 - a) * env.rate
@@ -345,8 +349,7 @@ def quadrature_price(model: ModelSpec, env: MarketEnv, maturity: float,
     """Discounted payoff integrated against the transition density."""
     if model.family != Family.CEV:
         raise DomainError("quadrature_price covers the CEV family only")
-    if maturity <= 0.0 or strike < 0.0:
-        raise DomainError("need maturity > 0 and strike >= 0")
+    _check_inputs(maturity, strike, zero_strike_ok=True)
     ints = cev_intermediates(model, env, maturity, strike=max(strike, 1e-12))
     a = model.alpha
     nu = 1.0 / (2.0 - a)
@@ -370,6 +373,63 @@ def quadrature_price(model: ModelSpec, env: MarketEnv, maturity: float,
         raise NumericalError(
             f"payoff quadrature did not converge: value={value!r}, err={err!r}")
     return math.exp(-env.rate * maturity) * value
+
+
+def _mc_check(name: str, mc: McResult, price: float) -> Check:
+    """The Monte Carlo estimate's z-score against the closed-form price."""
+    return Check(name, abs(mc.price - price) / mc.se if mc.se > 0 else 0.0, 3.0)
+
+
+def run_checks(model: ModelSpec, env: MarketEnv, maturity: float, strike: float,
+               *, seed: int, mc_paths: int, with_mc: bool = False,
+               with_fpe: bool = False) -> list[Check]:
+    """The oracle suite of ``msfcev verify`` at one point, in table order.
+
+    CEV family: Phi against quadrature of its integral, the price against
+    payoff quadrature, and the martingale identity e^(-rT) E[S_T] = S0 as
+    the K = 0 payoff quadrature; ``with_mc`` adds the Euler Monte Carlo
+    z-score (classical driver only) and ``with_fpe`` the L1 distance of the
+    forward-equation density from the closed form.  BS family: the
+    exact-sampling Monte Carlo z-score.  Last, for both, the price's
+    distance outside the no-arbitrage range [max(S0 - K e^(-rT), 0), S0].
+    """
+    price = call_price(model, env, maturity, strike)
+    checks = []
+    if model.family == Family.CEV:
+        phi_c = effective_variance(model, env, maturity)
+        phi_q = effective_variance_quadrature(model, env, maturity)
+        checks.append(Check("phi_closed_vs_quadrature_rel",
+                            abs(phi_c - phi_q) / phi_q, 1e-9))
+        quad = quadrature_price(model, env, maturity, strike)
+        checks.append(Check("price_closed_vs_quadrature_rel",
+                            abs(price - quad) / max(quad, 1e-300), 1e-6))
+        mass = quadrature_price(model, env, maturity, 0.0)
+        checks.append(Check("martingale_rel_gap", abs(mass / env.spot - 1.0), 1e-6))
+        if with_mc and model.driver == Driver.CLASSICAL:
+            cfg = McConfig(n_paths=mc_paths, n_steps=max(10, int(200 * maturity)),
+                           seed=seed)
+            mc = mc_price_cev_classical(model, env, maturity, strike, cfg)
+            checks.append(_mc_check("euler_mc_z_score", mc, price))
+        if with_fpe:
+            ints = cev_intermediates(model, env, maturity, strike)
+            x0 = env.spot ** (2.0 - model.alpha)
+            x_hi = (ints.y_s + 12.0 * math.sqrt(ints.y_s) + 60.0) / ints.k_s
+            grid = FpeGrid(x_min=0.0, x_max=max(x_hi, 1.5 * x0), n_space=2400,
+                           n_time=600)
+            sol = solve_fpe(model, env, maturity, grid)
+            keep = sol.s > 0
+            closed = transition_density(model, env, maturity, sol.s[keep])
+            l1 = float(np.trapezoid(np.abs(sol.density_s[keep] - closed),
+                                    sol.s[keep]))
+            checks.append(Check("fpe_l1_distance", l1, 1e-2))
+    else:
+        mc = mc_price_msfbs(model, env, maturity, strike,
+                            McConfig(n_paths=mc_paths, seed=seed))
+        checks.append(_mc_check("exact_mc_z_score", mc, price))
+    lower = max(env.spot - strike * math.exp(-env.rate * maturity), 0.0)
+    checks.append(Check("price_within_rational_bounds",
+                        max(lower - price, price - env.spot, 0.0), 1e-9))
+    return checks
 
 
 def write_density_csv(s_values, densities, target) -> None:

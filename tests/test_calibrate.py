@@ -52,6 +52,18 @@ class TestLoadChain:
         with pytest.raises(ChainFormatError, match="row 5"):
             cal.load_chain(io.StringIO(bad))
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["spot", "rate", "strike",
+                                       "maturity_years", "mid_price"])
+    def test_non_finite_field_rejected_with_row(self, field, bad):
+        row = dict(zip(cal.CHAIN_HEADER,
+                       ["2024-01-02", "100", "0.05", "110", "0.5", "0.9"]))
+        row[field] = bad
+        text = VALID_CSV + ",".join(row[h] for h in cal.CHAIN_HEADER) + "\n"
+        with pytest.raises(ChainFormatError,
+                           match=f"row 5: {field} must be finite"):
+            cal.load_chain(io.StringIO(text))
+
     def test_moneyness_filter(self):
         rows = VALID_CSV + "2024-01-02,100,0.05,90,0.5,11.3\n"
         unfiltered = cal.load_chain(io.StringIO(rows))

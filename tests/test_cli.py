@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from msfcev import calibrate as cal
-from msfcev import pricing
+from msfcev import pricing, verify
 from msfcev.cli import main
 
 PRICE_ARGS = ["price", "--model", "msfcev", "--sigma", "0.3", "--alpha", "1",
@@ -129,16 +129,44 @@ class TestSimulate:
         assert err.startswith("error: ")
 
 
+VERIFY_ARGS = ["verify", "--model", "msfcev", "--sigma", "0.3", "--alpha", "1.2",
+               "--hurst", "0.75", "--rate", "0.05", "--spot", "100",
+               "--strike", "105", "--maturity", "0.5", "--seed", "3"]
+
+
 class TestVerifyCommand:
     def test_pass_table(self, capsys):
-        code, out, _ = run(capsys, [
-            "verify", "--model", "msfcev", "--sigma", "0.3", "--alpha", "1.2",
-            "--hurst", "0.75", "--rate", "0.05", "--spot", "100",
-            "--strike", "105", "--maturity", "0.5", "--seed", "3"])
+        code, out, _ = run(capsys, VERIFY_ARGS)
         assert code == 0
         assert "PASS" in out
         assert "FAIL" not in out
         assert "phi_closed_vs_quadrature_rel" in out
+
+    def test_table_prints_the_applied_tolerances(self, capsys):
+        code, out, _ = run(capsys, VERIFY_ARGS)
+        checks = verify.run_checks(
+            pricing.ModelSpec.make("msfcev", sigma=0.3, alpha=1.2, hurst=0.75),
+            pricing.MarketEnv(rate=0.05, spot=100.0), 0.5, 105.0, seed=3,
+            mc_paths=200_000)
+        rows = [line.split() for line in out.splitlines()[1:]]
+        assert [r[0] for r in rows] == [c.name for c in checks]
+        assert [float(r[2]) for r in rows] == [c.tol for c in checks]
+        assert code == 0
+
+    def test_lost_martingale_mass_exits_two(self, capsys, monkeypatch):
+        real = verify.quadrature_price
+
+        def half_mass(model, env, maturity, strike):
+            if strike == 0.0:
+                return 0.5 * env.spot
+            return real(model, env, maturity, strike)
+
+        monkeypatch.setattr(verify, "quadrature_price", half_mass)
+        code, out, _ = run(capsys, VERIFY_ARGS)
+        assert code == 2
+        failed = [line.split()[0] for line in out.splitlines()
+                  if line.endswith("FAIL")]
+        assert failed == ["martingale_rel_gap"]
 
 
 class TestCalibrateCommand:
@@ -153,6 +181,17 @@ class TestCalibrateCommand:
         assert data["mode"] == "joint"
         assert "joint" in data["fitted"]
         assert data["total_mse"] >= 0.0
+
+    def test_nan_mid_exit_one_with_row(self, capsys, tmp_path):
+        path = tmp_path / "chain.csv"
+        path.write_text("quote_date,spot,rate,strike,maturity_years,mid_price\n"
+                        "2024-01-02,100,0.05,100,0.5,3.85\n"
+                        "2024-01-02,100,0.05,105,0.5,nan\n", encoding="utf-8")
+        code, out, err = run(capsys, [
+            "calibrate", "--input", str(path), "--model", "cev", "--seed", "1"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: row 3: mid_price must be finite")
 
     def test_missing_file_exit_one(self, capsys):
         code, _, err = run(capsys, [

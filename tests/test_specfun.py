@@ -9,9 +9,7 @@ from scipy.stats import ncx2
 
 from msfcev.errors import DomainError
 from msfcev.pricing import MarketEnv, ModelSpec, cev_intermediates
-from msfcev.specfun import (bessel_i_scaled, chi2_noncentral_cdf,
-                            chi2_noncentral_sf, chi2_noncentral_sf_cdf,
-                            log_gamma)
+from msfcev.specfun import bessel_i_scaled, chi2_noncentral_sf_cdf, log_gamma
 
 
 def brute_bessel_series(order, z, terms=3000):
@@ -189,11 +187,11 @@ def ncx2_quadrature_oracle(x, df, nc):
 
 class TestChi2Noncentral:
     def test_examples(self):
-        assert chi2_noncentral_sf(0.0, 2.0, 5.0) == 1.0
-        assert chi2_noncentral_sf(2.0, 2.0, 0.0) == pytest.approx(
+        assert chi2_noncentral_sf_cdf(0.0, 2.0, 5.0)[0] == 1.0
+        assert chi2_noncentral_sf_cdf(2.0, 2.0, 0.0)[0] == pytest.approx(
             math.exp(-1.0), rel=1e-13)
         oracle = ncx2_quadrature_oracle(4.0, 3.0, 2.0)
-        assert chi2_noncentral_sf(4.0, 3.0, 2.0) == pytest.approx(oracle,
+        assert chi2_noncentral_sf_cdf(4.0, 3.0, 2.0)[0] == pytest.approx(oracle,
                                                                   abs=1e-12)
 
     @pytest.mark.parametrize("x,df,nc", [
@@ -202,49 +200,50 @@ class TestChi2Noncentral:
         (1500.0, 7.0, 1400.0), (250.0, 2002.0, 10.0), (5000.0, 3.0, 5000.0),
     ])
     def test_absolute_accuracy_vs_scipy(self, x, df, nc):
-        assert abs(chi2_noncentral_sf(x, df, nc) - ncx2.sf(x, df, nc)) <= 1e-12
-        assert abs(chi2_noncentral_cdf(x, df, nc) - ncx2.cdf(x, df, nc)) <= 1e-12
+        sf, cdf = chi2_noncentral_sf_cdf(x, df, nc)
+        assert abs(sf - ncx2.sf(x, df, nc)) <= 1e-12
+        assert abs(cdf - ncx2.cdf(x, df, nc)) <= 1e-12
 
     def test_deep_tails_keep_relative_accuracy(self):
         # the direct cdf mixture must not degrade to 1 - (1 - tiny)
-        val = chi2_noncentral_cdf(1.0, 1.0, 100.0)
+        val = chi2_noncentral_sf_cdf(1.0, 1.0, 100.0)[1]
         assert val == pytest.approx(float(ncx2.cdf(1.0, 1.0, 100.0)), rel=1e-9)
-        val = chi2_noncentral_sf(300.0, 2.0, 60.0)
+        val = chi2_noncentral_sf_cdf(300.0, 2.0, 60.0)[0]
         assert val == pytest.approx(float(ncx2.sf(300.0, 2.0, 60.0)), rel=1e-9)
 
     def test_monotonicity_grids(self):
         xs = np.linspace(0.0, 60.0, 25)
         for df in (1.0, 2.0, 7.5):
             for nc in (0.0, 2.0, 20.0):
-                vals = [chi2_noncentral_sf(float(x), df, nc) for x in xs]
+                vals = [chi2_noncentral_sf_cdf(float(x), df, nc)[0] for x in xs]
                 assert vals[0] == 1.0
                 assert all(a >= b - 1e-14 for a, b in zip(vals, vals[1:]))
         ncs = np.linspace(0.0, 40.0, 17)
         for x in (5.0, 15.0):
-            vals = [chi2_noncentral_sf(x, 3.0, float(nc)) for nc in ncs]
+            vals = [chi2_noncentral_sf_cdf(x, 3.0, float(nc))[0] for nc in ncs]
             assert all(b >= a - 1e-14 for a, b in zip(vals, vals[1:]))
 
     def test_limit_at_large_x(self):
-        assert chi2_noncentral_sf(1e4, 3.0, 5.0) < 1e-300
+        assert chi2_noncentral_sf_cdf(1e4, 3.0, 5.0)[0] < 1e-300
 
     def test_sf_cdf_complement(self):
         for x, df, nc in ((4.0, 3.0, 2.0), (30.0, 4.0, 20.0), (2.0, 1.5, 9.0)):
-            total = chi2_noncentral_sf(x, df, nc) + chi2_noncentral_cdf(x, df, nc)
+            sf, cdf = chi2_noncentral_sf_cdf(x, df, nc)
+            total = sf + cdf
             assert total == pytest.approx(1.0, abs=5e-13)
 
     def test_batch_matches_scalar(self):
         xs = np.array([1.0, 5.0, 25.0, 80.0])
         sf, cdf = chi2_noncentral_sf_cdf(xs, 3.0, 12.0)
         for i, x in enumerate(xs):
-            assert sf[i] == pytest.approx(chi2_noncentral_sf(float(x), 3.0, 12.0),
-                                          abs=1e-13)
+            assert sf[i] == pytest.approx(
+                chi2_noncentral_sf_cdf(float(x), 3.0, 12.0)[0], abs=1e-13)
         ncs = np.array([2.0, 12.0, 90.0, 400.0])
         sf, cdf = chi2_noncentral_sf_cdf(30.0, 3.0, ncs)
         for i, nc in enumerate(ncs):
-            assert sf[i] == pytest.approx(chi2_noncentral_sf(30.0, 3.0, float(nc)),
-                                          abs=5e-13)
-            assert cdf[i] == pytest.approx(chi2_noncentral_cdf(30.0, 3.0, float(nc)),
-                                           abs=5e-13)
+            one_sf, one_cdf = chi2_noncentral_sf_cdf(30.0, 3.0, float(nc))
+            assert sf[i] == pytest.approx(one_sf, abs=5e-13)
+            assert cdf[i] == pytest.approx(one_cdf, abs=5e-13)
 
     def test_array_df_broadcasts_like_pointwise_calls(self):
         # one call over every (x, df, nc) triple, as call_prices makes it
@@ -254,14 +253,13 @@ class TestChi2Noncentral:
         sf, cdf = chi2_noncentral_sf_cdf(xs, dfs, ncs)
         for i in range(xs.size):
             args = (float(xs[i]), float(dfs[i]), float(ncs[i]))
-            assert sf[i] == chi2_noncentral_sf(*args)
-            assert cdf[i] == chi2_noncentral_cdf(*args)
+            assert (sf[i], cdf[i]) == chi2_noncentral_sf_cdf(*args)
         sf, cdf = chi2_noncentral_sf_cdf(10.0, dfs[:, None], ncs[None, :])
         assert sf.shape == cdf.shape == (4, 4)
         for i, df in enumerate(dfs):
             for j, nc in enumerate(ncs):
-                assert sf[i, j] == chi2_noncentral_sf(10.0, float(df), float(nc))
-                assert cdf[i, j] == chi2_noncentral_cdf(10.0, float(df), float(nc))
+                assert (sf[i, j], cdf[i, j]) == chi2_noncentral_sf_cdf(
+                    10.0, float(df), float(nc))
         with pytest.raises(DomainError):
             chi2_noncentral_sf_cdf(xs, np.array([1.0, 1.0, 0.0, 1.0]), ncs)
 
@@ -292,15 +290,15 @@ class TestChi2Noncentral:
             xs.append(x)
             dfs.append(df)
             ncs.append(nc)
-            assert chi2_noncentral_sf(x, df, nc) == float(ncx2.sf(x, df, nc))
+            assert chi2_noncentral_sf_cdf(x, df, nc)[0] == float(ncx2.sf(x, df, nc))
         xs, dfs, ncs = np.array(xs), np.array(dfs), np.array(ncs)
         sf, _ = chi2_noncentral_sf_cdf(xs, dfs, ncs)
         np.testing.assert_array_equal(sf, ncx2.sf(xs, dfs, ncs))
 
     def test_errors(self):
         with pytest.raises(DomainError):
-            chi2_noncentral_sf(-1.0, 3.0, 2.0)
+            chi2_noncentral_sf_cdf(-1.0, 3.0, 2.0)
         with pytest.raises(DomainError):
-            chi2_noncentral_sf(1.0, 0.0, 2.0)
+            chi2_noncentral_sf_cdf(1.0, 0.0, 2.0)
         with pytest.raises(DomainError):
-            chi2_noncentral_sf(1.0, 3.0, -2.0)
+            chi2_noncentral_sf_cdf(1.0, 3.0, -2.0)

@@ -9,8 +9,10 @@ from msfcev.errors import DomainError
 from msfcev.pricing import (MarketEnv, ModelSpec, call_price,
                             driver_variance, black_scholes_call,
                             transition_density)
-from msfcev.verify import (FpeGrid, McConfig, McResult, mc_price_cev_classical,
-                           mc_price_msfbs, quadrature_price, solve_fpe,
+from msfcev import verify
+from msfcev.verify import (Check, FpeGrid, McConfig, McResult,
+                           mc_price_cev_classical, mc_price_msfbs,
+                           quadrature_price, run_checks, solve_fpe,
                            write_density_csv)
 
 
@@ -161,6 +163,146 @@ class TestMcCevClassical:
             McConfig(n_paths=10, n_steps=200, seed=0)
         with pytest.raises(DomainError):
             McConfig(n_paths=10_000, n_steps=5, seed=0)
+
+
+class TestMcPinned:
+    """Seeded prices and standard errors, pinned bit for bit.
+
+    The block substreams make a seed reproduce the same bytes on any
+    machine; these values were recorded before the two pricers shared their
+    block loop.  The path counts are not multiples of the block sizes
+    (65536 and 16384), so the short last block is covered.
+    """
+
+    @pytest.mark.parametrize("n_paths,antithetic,price,se", [
+        (70001, False, 15.37678895237875, 0.10718510599854474),
+        (140002, True, 15.45071708289706, 0.06452911000474136),
+        (65536, False, 15.313615729476615, 0.11047948611790548),
+    ])
+    def test_msfbs(self, env100, n_paths, antithetic, price, se):
+        m = ModelSpec.make("msfbs", sigma=0.3, hurst=0.7)
+        mc = mc_price_msfbs(m, env100, 1.0, 105.0,
+                            McConfig(n_paths=n_paths, seed=17,
+                                     antithetic=antithetic))
+        assert (mc.price, mc.se) == (price, se)
+
+    @pytest.mark.parametrize("n_paths,antithetic,price,se", [
+        (20001, False, 12.357986672137894, 0.10921166871068842),
+        (40002, True, 12.439058486650918, 0.04730753481341722),
+    ])
+    def test_cev_classical(self, env100, n_paths, antithetic, price, se):
+        m = ModelSpec.make("cev", sigma=3.0, alpha=1.0)
+        mc = mc_price_cev_classical(m, env100, 0.5, 95.0,
+                                    McConfig(n_paths=n_paths, n_steps=100,
+                                             seed=23, antithetic=antithetic))
+        assert (mc.price, mc.se) == (price, se)
+
+    def test_antithetic_needs_even_paths(self, env100):
+        m = ModelSpec.make("bs", sigma=0.3)
+        with pytest.raises(DomainError, match="even"):
+            mc_price_msfbs(m, env100, 1.0, 100.0,
+                           McConfig(n_paths=10_001, seed=1, antithetic=True))
+
+
+NON_FINITE_CALLS = {
+    "mc_price_msfbs": lambda env, t, k: mc_price_msfbs(
+        ModelSpec.make("msfbs", sigma=0.3, hurst=0.7), env, t, k,
+        McConfig(n_paths=2_000, seed=1)),
+    "mc_price_cev_classical": lambda env, t, k: mc_price_cev_classical(
+        ModelSpec.make("cev", sigma=3.0, alpha=1.0), env, t, k,
+        McConfig(n_paths=2_000, n_steps=200, seed=1)),
+    "quadrature_price": lambda env, t, k: quadrature_price(
+        ModelSpec.make("msfcev", sigma=0.3, alpha=1.2, hurst=0.75), env, t, k),
+    "solve_fpe": lambda env, t, k: solve_fpe(
+        ModelSpec.make("cev", sigma=0.3, alpha=1.0), env, t,
+        FpeGrid(x_min=0.0, x_max=450.0, n_space=100, n_time=100)),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry,argument", [
+    (entry, argument) for entry in sorted(NON_FINITE_CALLS)
+    for argument in ("maturity", "strike")
+    if (entry, argument) != ("solve_fpe", "strike")])  # it takes no strike
+def test_entry_points_reject_non_finite(env100, entry, argument, bad):
+    t, k = (bad, 100.0) if argument == "maturity" else (1.0, bad)
+    with pytest.raises(DomainError, match=f"{argument} must be .*finite"):
+        NON_FINITE_CALLS[entry](env100, t, k)
+
+
+README_POINT = dict(model=ModelSpec.make("msfcev", sigma=0.3, alpha=1.2,
+                                         hurst=0.75),
+                    maturity=0.5, strike=105.0)
+CEV_POINT = dict(model=ModelSpec.make("cev", sigma=3.0, alpha=1.0),
+                 maturity=1.0, strike=100.0)
+BS_POINT = dict(model=ModelSpec.make("msfbs", sigma=0.3, hurst=0.7),
+                maturity=1.0, strike=100.0)
+
+
+class TestRunChecks:
+    @pytest.mark.parametrize("point,with_mc,with_fpe,names", [
+        (CEV_POINT, False, False,
+         ["phi_closed_vs_quadrature_rel", "price_closed_vs_quadrature_rel",
+          "martingale_rel_gap", "price_within_rational_bounds"]),
+        (CEV_POINT, True, True,
+         ["phi_closed_vs_quadrature_rel", "price_closed_vs_quadrature_rel",
+          "martingale_rel_gap", "euler_mc_z_score", "fpe_l1_distance",
+          "price_within_rational_bounds"]),
+        # the Euler oracle covers the classical driver only, so --with-mc
+        # adds nothing at a mixed-driver point
+        (README_POINT, True, True,
+         ["phi_closed_vs_quadrature_rel", "price_closed_vs_quadrature_rel",
+          "martingale_rel_gap", "fpe_l1_distance",
+          "price_within_rational_bounds"]),
+        (BS_POINT, False, False,
+         ["exact_mc_z_score", "price_within_rational_bounds"]),
+    ])
+    def test_rows_in_order_and_passing(self, env100, point, with_mc, with_fpe,
+                                       names):
+        checks = run_checks(point["model"], env100, point["maturity"],
+                            point["strike"], seed=3, mc_paths=50_000,
+                            with_mc=with_mc, with_fpe=with_fpe)
+        assert [c.name for c in checks] == names
+        assert all(c.passed for c in checks), checks
+
+    def test_tolerances(self, env100):
+        checks = run_checks(CEV_POINT["model"], env100, 1.0, 100.0, seed=3,
+                            mc_paths=20_000, with_mc=True)
+        assert {c.name: c.tol for c in checks} == {
+            "phi_closed_vs_quadrature_rel": 1e-9,
+            "price_closed_vs_quadrature_rel": 1e-6,
+            "martingale_rel_gap": 1e-6,
+            "euler_mc_z_score": 3.0,
+            "price_within_rational_bounds": 1e-9,
+        }
+
+    def test_check_passes_up_to_its_tolerance(self):
+        assert Check("x", 1e-6, 1e-6).passed
+        assert not Check("x", 2e-6, 1e-6).passed
+        assert not Check("x", math.nan, 1e-6).passed
+
+    def test_lost_martingale_mass_fails(self, env100, monkeypatch):
+        real = verify.quadrature_price
+
+        def half_mass(model, env, maturity, strike):
+            if strike == 0.0:
+                return 0.5 * env.spot
+            return real(model, env, maturity, strike)
+
+        monkeypatch.setattr(verify, "quadrature_price", half_mass)
+        rows = {c.name: c for c in run_checks(
+            README_POINT["model"], env100, 0.5, 105.0, seed=3, mc_paths=20_000)}
+        assert rows["martingale_rel_gap"].value == pytest.approx(0.5)
+        assert not rows["martingale_rel_gap"].passed
+        assert rows["price_closed_vs_quadrature_rel"].passed
+
+    def test_bounds_row_is_distance_outside_range(self, env100, monkeypatch):
+        # a price above the spot sits outside [max(S0 - K e^-rT, 0), S0]
+        monkeypatch.setattr(verify, "call_price", lambda *a: env100.spot + 0.25)
+        rows = {c.name: c for c in run_checks(
+            BS_POINT["model"], env100, 1.0, 100.0, seed=3, mc_paths=20_000)}
+        assert rows["price_within_rational_bounds"].value == 0.25
+        assert not rows["price_within_rational_bounds"].passed
 
 
 class TestQuadraturePrice:
