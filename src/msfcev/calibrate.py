@@ -12,7 +12,9 @@ per model are
 
 The optimizer is multi-start trust-region least squares (TRF) on the price
 residuals, in a logistic reparameterization of the bounded box, from
-scrambled-Sobol starting points; deterministic for a given seed.
+scrambled-Sobol starting points; deterministic for a given seed.  Its
+Jacobian is analytic in sigma and H (:func:`msfcev.pricing.clock_gradient`)
+and a forward difference in alpha.
 """
 
 from __future__ import annotations
@@ -28,10 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 from scipy.special import expit, logit
-from scipy.stats import qmc
 
 from .errors import CalibrationError, ChainFormatError, DomainError
-from .pricing import MODEL_NAMES, Driver, MarketEnv, ModelSpec, chain_prices
+from .pricing import (MODEL_NAMES, Driver, MarketEnv, ModelSpec, chain_prices,
+                      clock_gradient)
 
 __all__ = [
     "MarketQuote",
@@ -106,12 +108,26 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class CalibrationReport:
+    """Result of :func:`fit`.
+
+    ``iterations`` counts the optimizer's residual evaluations and
+    ``evaluations`` every pricing call the fit made, the alpha Jacobian
+    column's included.  ``stderr`` (parameter standard errors) and
+    ``jac_cond`` (condition number of the price Jacobian) are keyed like
+    ``fitted``.  A standard error is None when a fit has no more quotes
+    than parameters or a rank-deficient Jacobian, a condition number when
+    the Jacobian is singular.
+    """
+
     mode: str
     fitted: dict
     mse_per_maturity: dict
     total_mse: float
     iterations: int
     converged: bool
+    evaluations: int
+    stderr: dict
+    jac_cond: dict
 
     def to_json(self) -> str:
         return json.dumps({
@@ -121,6 +137,9 @@ class CalibrationReport:
             "total_mse": self.total_mse,
             "iterations": self.iterations,
             "converged": self.converged,
+            "evaluations": self.evaluations,
+            "stderr": self.stderr,
+            "jac_cond": self.jac_cond,
         }, indent=2)
 
 
@@ -306,46 +325,140 @@ def mse_objective(model_name: str, params, chain: OptionChain) -> float:
 # fitting
 # ---------------------------------------------------------------------------
 
+# scipy's relative step for a 2-point forward difference
+_FD_STEP = math.sqrt(np.finfo(float).eps)
+
+
 def _box(names):
     lo = np.array([PARAM_BOUNDS[n][0] for n in names])
     hi = np.array([PARAM_BOUNDS[n][1] for n in names])
     return lo, hi
 
 
+class _Problem:
+    """Scaled price residuals of one fit and their Jacobian, in logistic coordinates.
+
+    ``u`` maps onto the parameter box as p = lo + span * expit(u); the
+    residuals are (prices - mids) / sqrt(n_quotes), whose sum of squares is
+    the MSE.  ``evaluations`` counts the pricing calls made.
+    """
+
+    def __init__(self, model_name: str, names, quotes: _Quotes):
+        self.model_name = model_name
+        self.names = names
+        self.quotes = quotes
+        self.lo, self.hi = _box(names)
+        self.scale = 1.0 / math.sqrt(quotes.mids.size)
+        self.evaluations = 0
+        self._last = (None, None)  # u and residuals of the latest __call__
+
+    def params(self, u):
+        return np.clip(self.lo + (self.hi - self.lo) * expit(u), self.lo, self.hi)
+
+    def param_slopes(self, u):
+        """dp/du; expit(u) * expit(-u) stays positive where 1 - expit(u) rounds to 0."""
+        return (self.hi - self.lo) * expit(u) * expit(-u)
+
+    def _priced(self, u):
+        self.evaluations += 1
+        return self.scale * _residuals(self.model_name, self.names,
+                                       self.params(u), self.quotes)
+
+    def __call__(self, u):
+        res = self._priced(u)
+        self._last = (np.array(u), res)
+        return res
+
+    def jac(self, u):
+        """d residuals / du: sigma and H columns analytic, alpha a forward difference.
+
+        The alpha step follows scipy's 2-point rule, sqrt(eps) * max(1, |u|)
+        with the sign of u.  scipy calls ``jac(u)`` right after it evaluates
+        the residuals at u, so the difference takes them from the last call
+        instead of pricing u again.
+        """
+        q = self.quotes
+        model = build_model(self.model_name, dict(zip(self.names, self.params(u))))
+        d_sigma, d_hurst = clock_gradient(model, q.spot, q.maturities, q.rates,
+                                          q.strikes)
+        analytic = {"sigma": d_sigma, "hurst": d_hurst}
+        slopes = self.param_slopes(u)
+        jac = np.empty((q.mids.size, len(self.names)))
+        for j, name in enumerate(self.names):
+            if name != "alpha":
+                jac[:, j] = self.scale * slopes[j] * analytic[name]
+                continue
+            last_u, base = self._last
+            if last_u is None or not np.array_equal(u, last_u):
+                base = self(u)
+            shifted = np.array(u, dtype=float)
+            shifted[j] += _FD_STEP * (1.0 if u[j] >= 0.0 else -1.0) * max(1.0, abs(u[j]))
+            jac[:, j] = (self._priced(shifted) - base) / (shifted[j] - u[j])
+        return jac
+
+    def uncertainty(self, solution):
+        """Standard errors of the parameters and the condition number of dC/dp.
+
+        dC/dp comes from the solution's own Jacobian, so no pricing is
+        needed; the covariance is (J^T J)^-1 * MSE * n / (n - p).  Standard
+        errors are None when n <= p or J is rank-deficient, and the
+        condition number when it is infinite.
+        """
+        jac = solution.jac / (self.scale * self.param_slopes(solution.x))
+        if not np.all(np.isfinite(jac)):
+            return None, None
+        n, k = jac.shape
+        _, sv, vt = np.linalg.svd(jac, full_matrices=False)
+        cond = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else None
+        if n <= k or sv[-1] <= sv[0] * max(n, k) * np.finfo(float).eps:
+            return None, cond
+        var = np.sum((vt / sv[:, None]) ** 2, axis=0) * 2.0 * solution.cost * n / (n - k)
+        return dict(zip(self.names, (float(v) for v in np.sqrt(var)))), cond
+
+
+@dataclass(frozen=True)
+class _Solution:
+    """The kept least-squares solve of one parameter vector (see _fit_vector)."""
+
+    params: np.ndarray
+    residuals: np.ndarray
+    mse: float
+    iterations: int
+    evaluations: int
+    converged: bool
+    stderr: dict | None
+    jac_cond: float | None
+
+
 def _fit_vector(model_name: str, names, quotes: _Quotes,
-                cfg: OptimizerConfig):
+                cfg: OptimizerConfig) -> _Solution:
     """Multi-start trust-region least squares; returns the best fit.
 
-    Every start runs ``least_squares`` (TRF) in logistic coordinates on the
-    residual vector ``(prices - mids) / sqrt(n_quotes)``, whose sum of
-    squares is the MSE, with at most ``cfg.maxiter`` residual evaluations
-    (the finite-difference Jacobian's are not counted).  A start whose
-    residuals leave the pricing domain is skipped with a warning.  If the
-    lowest-cost start stopped on its budget, it continues from its end point
-    for at most ``cfg.polish_maxiter`` evaluations, and the continuation is
-    kept when it is no worse.
+    Every start runs ``least_squares`` (TRF) on :class:`_Problem`'s
+    residuals and Jacobian, with at most ``cfg.maxiter`` residual
+    evaluations (the alpha Jacobian column's are not counted).  A start
+    whose residuals leave the pricing domain is skipped with a warning.  If
+    the lowest-cost start stopped on its budget, it continues from its end
+    point for at most ``cfg.polish_maxiter`` evaluations, and the
+    continuation is kept when it is no worse.
 
-    Returns ``(params, mse, iterations, converged)``: ``iterations`` is the
-    residual evaluations of every start and of the continuation;
-    ``converged`` means the kept solve met a least-squares tolerance.
+    ``iterations`` is the residual evaluations of every start and of the
+    continuation, ``evaluations`` every pricing call; ``converged`` means
+    the kept solve met a least-squares tolerance.
     """
-    lo, hi = _box(names)
-    span = hi - lo
-    scale = 1.0 / math.sqrt(quotes.mids.size)
+    # imported here: scipy.stats costs more to import than the rest of the
+    # package, and only fits need it
+    from scipy.stats import qmc
 
-    def to_params(u):
-        return np.clip(lo + span * expit(u), lo, hi)
-
-    def residuals_u(u):
-        return scale * _residuals(model_name, names, to_params(u), quotes)
+    problem = _Problem(model_name, names, quotes)
 
     def solve(u0, max_nfev):
         try:
-            return optimize.least_squares(residuals_u, u0, method="trf",
-                                          max_nfev=max_nfev)
+            return optimize.least_squares(problem, u0, jac=problem.jac,
+                                          method="trf", max_nfev=max_nfev)
         except (DomainError, FloatingPointError) as exc:
             log.warning("least-squares start of %s at %s left the domain: %s",
-                        model_name, dict(zip(names, to_params(u0))), exc)
+                        model_name, dict(zip(names, problem.params(u0))), exc)
             return None
 
     sampler = qmc.Sobol(d=len(names), scramble=True, seed=cfg.seed)
@@ -373,7 +486,12 @@ def _fit_vector(model_name: str, names, quotes: _Quotes,
             iterations += more.nfev
             if more.cost <= best.cost:
                 best = more
-    return to_params(best.x), 2.0 * float(best.cost), iterations, best.status > 0
+    stderr, cond = problem.uncertainty(best)
+    return _Solution(params=problem.params(best.x),
+                     residuals=best.fun / problem.scale,
+                     mse=2.0 * float(best.cost), iterations=iterations,
+                     evaluations=problem.evaluations, converged=best.status > 0,
+                     stderr=stderr, jac_cond=cond)
 
 
 def _per_maturity_mse(quotes: _Quotes, residuals) -> dict:
@@ -398,22 +516,26 @@ def fit(chain: OptionChain, model_name: str, mode: str = "joint",
     names = free_parameters(model_name)
     if mode == "joint":
         quotes = _quote_arrays(chain.quotes)
-        params, total, iters, ok = _fit_vector(model_name, names, quotes, cfg)
-        values = dict(zip(names, (float(v) for v in params)))
+        sol = _fit_vector(model_name, names, quotes, cfg)
         return CalibrationReport(
             mode=mode,
-            fitted={"joint": values},
-            mse_per_maturity=_per_maturity_mse(
-                quotes, _residuals(model_name, names, params, quotes)),
-            total_mse=total,
-            iterations=iters,
-            converged=ok,
+            fitted={"joint": dict(zip(names, (float(v) for v in sol.params)))},
+            mse_per_maturity=_per_maturity_mse(quotes, sol.residuals),
+            total_mse=sol.mse,
+            iterations=sol.iterations,
+            converged=sol.converged,
+            evaluations=sol.evaluations,
+            stderr={"joint": sol.stderr},
+            jac_cond={"joint": sol.jac_cond},
         )
     if mode != "per_maturity":
         raise DomainError(f"mode must be 'joint' or 'per_maturity', got {mode!r}")
     fitted = {}
     mse_map = {}
+    stderr = {}
+    jac_cond = {}
     iterations = 0
+    evaluations = 0
     converged = True
     sse = 0.0
     n_scope = 0
@@ -424,20 +546,23 @@ def fit(chain: OptionChain, model_name: str, mode: str = "joint",
             warnings.warn(f"maturity {t_key}: fewer than two quotes, skipped",
                           RuntimeWarning, stacklevel=2)
             continue
-        params, group_mse, iters, ok = _fit_vector(model_name, names,
-                                                   _quote_arrays(quotes), cfg)
+        sol = _fit_vector(model_name, names, _quote_arrays(quotes), cfg)
         key = f"{quotes[0].maturity:.6f}"
-        fitted[key] = dict(zip(names, (float(v) for v in params)))
-        mse_map[key] = group_mse
-        iterations += iters
-        converged = converged and ok
-        sse += group_mse * len(quotes)
+        fitted[key] = dict(zip(names, (float(v) for v in sol.params)))
+        mse_map[key] = sol.mse
+        stderr[key] = sol.stderr
+        jac_cond[key] = sol.jac_cond
+        iterations += sol.iterations
+        evaluations += sol.evaluations
+        converged = converged and sol.converged
+        sse += sol.mse * len(quotes)
         n_scope += len(quotes)
     if not fitted:
         raise CalibrationError("per-maturity fit found no usable maturity group")
     return CalibrationReport(mode=mode, fitted=fitted, mse_per_maturity=mse_map,
                              total_mse=sse / n_scope, iterations=iterations,
-                             converged=converged)
+                             converged=converged, evaluations=evaluations,
+                             stderr=stderr, jac_cond=jac_cond)
 
 
 def compare_models(chain: OptionChain, catalog, mode: str = "joint",

@@ -120,6 +120,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_verify(args) -> int:
     model = _build_model(args)
     env = pricing.MarketEnv(rate=args.rate, spot=args.spot)
+    for name in verify.skipped_checks(model, with_mc=args.with_mc,
+                                      with_fpe=args.with_fpe):
+        print(f"note: {name} not available for {args.model}; skipped",
+              file=sys.stderr)
     checks = verify.run_checks(model, env, args.maturity, args.strike,
                                seed=args.seed, mc_paths=args.mc_paths,
                                with_mc=args.with_mc, with_fpe=args.with_fpe)

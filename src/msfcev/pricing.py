@@ -61,6 +61,7 @@ __all__ = [
     "call_price",
     "call_prices",
     "chain_prices",
+    "clock_gradient",
     "price_curve",
     "write_price_curve_csv",
     "black_scholes_call",
@@ -315,18 +316,25 @@ def transition_density(model: ModelSpec, env: MarketEnv, maturity: float,
     if not np.all((s_t > 0.0) & np.isfinite(s_t)):
         raise DomainError("terminal price must be positive and finite")
     ints = cev_intermediates(model, env, maturity, strike=1.0)
-    a = model.alpha
+    out = _density(model.alpha, ints.k_s, ints.y_s,
+                   ints.k_s * s_t ** (2.0 - model.alpha))
+    return float(out) if np.ndim(terminal_price) == 0 else out
+
+
+def _density(a: float, k_s, y_s, w):
+    """The density formula of :func:`transition_density` at w = k_s S_T^(2-alpha).
+
+    ``k_s``, ``y_s`` and ``w`` broadcast: one model at many points, or one
+    point per quote of a chain.
+    """
     nu = 1.0 / (2.0 - a)
-    k_s, y_s = ints.k_s, ints.y_s
-    w = k_s * s_t ** (2.0 - a)
-    sqrt_y = math.sqrt(y_s)
+    sqrt_y = y_s ** 0.5  # a float stays a float: no numpy call per quadrature node
     sqrt_w = np.sqrt(w)
     ive = specfun.bessel_i_scaled(nu, 2.0 * sqrt_y * sqrt_w)
-    log_pref = (math.log(2.0 - a) + nu * math.log(k_s)
-                + 0.5 * nu * (math.log(y_s) + (1.0 - 2.0 * a) * np.log(w)))
+    log_pref = (math.log(2.0 - a) + nu * np.log(k_s)
+                + 0.5 * nu * (np.log(y_s) + (1.0 - 2.0 * a) * np.log(w)))
     # exp(-y - w) I_nu(2 sqrt(y w)) = ive * exp(-(sqrt y - sqrt w)^2)
-    out = np.exp(log_pref - (sqrt_y - sqrt_w) ** 2) * ive
-    return float(out) if np.ndim(terminal_price) == 0 else out
+    return np.exp(log_pref - (sqrt_y - sqrt_w) ** 2) * ive
 
 
 def black_scholes_call(spot: float, strike, rate, maturity, total_variance):
@@ -339,11 +347,17 @@ def black_scholes_call(spot: float, strike, rate, maturity, total_variance):
                   for x in (strike, rate, maturity, total_variance))
     discounted_strike = k * np.exp(-r * t)
     sv = np.sqrt(v)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d1 = (np.log(spot / k) + r * t) / sv + 0.5 * sv
+    d1 = _bs_d1(spot, k, r, t, sv)
+    with np.errstate(invalid="ignore"):
         out = spot * special.ndtr(d1) - discounted_strike * special.ndtr(d1 - sv)
     out = np.where(v > 0.0, out, np.maximum(spot - discounted_strike, 0.0))
     return float(out) if out.ndim == 0 else out
+
+
+def _bs_d1(spot: float, k, r, t, sv):
+    """Black-Scholes d1 from the total standard deviation ``sv``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (np.log(spot / k) + r * t) / sv + 0.5 * sv
 
 
 def _assemble_call(spot: float, discounted_strike, sf1, cdf1, sf2, cdf2):
@@ -372,6 +386,29 @@ def _quote_array(values, name: str, zero_ok: bool = False) -> np.ndarray:
     return v
 
 
+def _chain_arrays(spot: float, maturities, rates, strikes):
+    """Checked per-quote maturity, rate and strike arrays of one chain."""
+    if not 0.0 < spot < math.inf:
+        raise DomainError(f"spot must be positive and finite, got {spot!r}")
+    return (_quote_array(maturities, "maturity"),
+            _quote_array(rates, "rate", zero_ok=True),
+            _quote_array(strikes, "strikes"))
+
+
+def _cev_coordinates(model: ModelSpec, spot: float, t, r, k):
+    """Phi and the chi-squared coordinates y, z of every quote.
+
+    y = S0^(2-alpha) e^((2-alpha) r T) / Phi and z = K^(2-alpha) / Phi, as
+    in :func:`cev_intermediates`, broadcast to one entry per quote.
+    """
+    a = model.alpha
+    phi = _phi(model, r, t)
+    k_s = 1.0 / phi
+    y, z = np.broadcast_arrays(k_s * spot ** (2.0 - a) * np.exp(r * (2.0 - a) * t),
+                               k_s * k ** (2.0 - a))
+    return phi, y, z
+
+
 def chain_prices(model: ModelSpec, spot: float, maturities, rates,
                  strikes) -> np.ndarray:
     """European call prices for every (maturity, rate, strike) quote on one spot.
@@ -383,20 +420,13 @@ def chain_prices(model: ModelSpec, spot: float, maturities, rates,
     every quote go through :func:`specfun.chi2_noncentral_sf_cdf`
     together.  A BS chain is one normal-cdf pair.
     """
-    if not 0.0 < spot < math.inf:
-        raise DomainError(f"spot must be positive and finite, got {spot!r}")
-    t = _quote_array(maturities, "maturity")
-    r = _quote_array(rates, "rate", zero_ok=True)
-    k = _quote_array(strikes, "strikes")
+    t, r, k = _chain_arrays(spot, maturities, rates, strikes)
     if model.family == Family.BS:
         v = model.sigma ** 2 * driver_variance(model.driver, model.driver_params, t)
         return black_scholes_call(spot, k, r, t, v)
-    a = model.alpha
-    k_s = 1.0 / _phi(model, r, t)
-    two_y, two_z = np.broadcast_arrays(
-        2.0 * k_s * spot ** (2.0 - a) * np.exp(r * (2.0 - a) * t),
-        2.0 * k_s * k ** (2.0 - a))
-    df0 = 2.0 / (2.0 - a)
+    _, y, z = _cev_coordinates(model, spot, t, r, k)
+    two_y, two_z = 2.0 * y, 2.0 * z
+    df0 = 2.0 / (2.0 - model.alpha)
     n = two_y.size
     sf, cdf = specfun.chi2_noncentral_sf_cdf(
         np.concatenate((two_z, two_y)),
@@ -404,6 +434,66 @@ def chain_prices(model: ModelSpec, spot: float, maturities, rates,
         np.concatenate((two_y, two_z)))
     return _assemble_call(spot, k * np.exp(-r * t),
                           sf[:n], cdf[:n], sf[n:], cdf[n:])
+
+
+_HURST_STEP = 1e-6  # central-difference step of M(1, 1+2H, z) in H
+
+
+def _weighted_power_slope(driver: Driver, hurst: float, t):
+    """d/dH of w_H t^(2H), with w_H' = -2^(2H) ln 2 (sub-fractional) or 0."""
+    w = _subfractional_weight(driver, hurst)
+    dw = (-(4.0 ** hurst) * math.log(2.0)
+          if driver == Driver.MIXED_SUB_FRACTIONAL else 0.0)
+    return t ** (2.0 * hurst) * (dw + 2.0 * w * np.log(t))
+
+
+def clock_gradient(model: ModelSpec, spot: float, maturities, rates, strikes):
+    """dC/dsigma and dC/dH of every quote of :func:`chain_prices`, without pricing.
+
+    sigma and H move a price only through its clock X = sigma^2 g(H): the
+    effective variance Phi(T) for the CEV family, the total variance v for
+    the BS family.  So dC/dsigma = (2 X / sigma) dC/dX and
+    dC/dH = (dX/dH) dC/dX, with
+
+        CEV: dC/dPhi = e^(-rT) K^alpha p(K) / (2-alpha)^2
+        BS:  dC/dv   = S0 n(d1) / (2 sqrt(v))
+
+    where p is the transition density (Dupire's forward identity in the
+    clock Phi) and n the normal density.  dX/dH is closed form but for
+    M(1, 1+2H, z) in Phi, whose H derivative is a central difference.
+    Returns ``(d_sigma, d_hurst)`` arrays, ``d_hurst`` None for the
+    classical driver.  alpha also moves the chi-squared degrees of freedom,
+    which have no closed-form derivative, so it is not covered here.
+    """
+    t, r, k = _chain_arrays(spot, maturities, rates, strikes)
+    p = model.driver_params
+    mixed = model.driver != Driver.CLASSICAL
+    if mixed:
+        scale = model.sigma ** 2 * p.gamma ** 2
+        power_slope = _weighted_power_slope(model.driver, p.hurst, t)
+    if model.family == Family.BS:
+        clock = model.sigma ** 2 * driver_variance(model.driver, p, t)
+        sv = np.sqrt(clock)
+        d1 = _bs_d1(spot, k, r, t, sv)
+        slope = spot * np.exp(-0.5 * d1 ** 2) / (2.0 * math.sqrt(2.0 * math.pi) * sv)
+        if mixed:
+            d_clock = scale * power_slope
+    else:
+        a = model.alpha
+        clock, y, z = _cev_coordinates(model, spot, t, r, k)
+        slope = (np.exp(-r * t) * k ** a * _density(a, 1.0 / clock, y, z)
+                 / (2.0 - a) ** 2)
+        if mixed:
+            kummer_z = (2.0 - a) * r * t
+            b = 1.0 + 2.0 * p.hurst
+            m_slope = ((special.hyp1f1(1.0, b + 2.0 * _HURST_STEP, kummer_z)
+                        - special.hyp1f1(1.0, b - 2.0 * _HURST_STEP, kummer_z))
+                       / (2.0 * _HURST_STEP))
+            d_clock = 0.5 * scale * (2.0 - a) ** 2 * (
+                power_slope * special.hyp1f1(1.0, b, kummer_z)
+                + _subfractional_weight(model.driver, p.hurst)
+                * t ** (2.0 * p.hurst) * m_slope)
+    return 2.0 * clock / model.sigma * slope, (d_clock * slope if mixed else None)
 
 
 def call_prices(model: ModelSpec, env: MarketEnv, maturity: float,

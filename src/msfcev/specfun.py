@@ -83,11 +83,40 @@ def bessel_i_scaled(order, z):
     """Return ``exp(-z) * I_order(z)``, broadcast over both arguments.
 
     The scaled form stays bounded for all admissible inputs, which is what
-    the transition density needs.
+    the transition density needs.  Amos (``special.ive``) refuses z above
+    2^30 and returns NaN; there Hankel's large-argument expansion takes
+    over, wherever its terms fall below 1e-17 of the sum within 30 terms.
     """
     order = _checked(order, lambda v: v >= 0.0, "bessel_i_scaled requires order >= 0")
     z = _checked(z, _finite_non_negative, "bessel_i_scaled requires finite z >= 0")
-    return _float_if_scalar(special.ive(order, z))
+    out = _float_if_scalar(special.ive(order, z))
+    if isinstance(out, float):  # one quadrature node: no array operations
+        if math.isnan(out):
+            out = float(_ive_hankel(np.array([order]), np.array([z]))[0])
+        return out
+    refused = np.isnan(out)
+    if refused.any():
+        order_b, z_b = np.broadcast_arrays(order, z)
+        out[refused] = _ive_hankel(order_b[refused], z_b[refused])
+    return out
+
+
+def _ive_hankel(order: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """exp(-z) I_order(z) ~ (2 pi z)^(-1/2) sum_k (-1)^k a_k(order) / z^k.
+
+    NaN where the terms do not fall below 1e-17 of the sum within 30 terms.
+    """
+    mu = 4.0 * np.square(order)
+    term = np.ones(z.shape)
+    total = term.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, 31):
+            term = -term * (mu - (2 * k - 1) ** 2) / (8.0 * k * z)
+            total += term
+            done = np.abs(term) <= 1e-17 * np.abs(total)
+            if done.all():
+                break
+    return np.where(done & np.isfinite(total), total, np.nan) / np.sqrt(2.0 * np.pi * z)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,13 @@ import logging
 import math
 import random
 
+import numpy as np
 import pytest
+from scipy.special import logit
 
 from msfcev import calibrate as cal
 from msfcev.errors import CalibrationError, ChainFormatError, DomainError
-from msfcev.pricing import ModelSpec
+from msfcev.pricing import MODEL_NAMES, ModelSpec
 
 VALID_CSV = """quote_date,spot,rate,strike,maturity_years,mid_price
 2024-01-02,100,0.05,95,0.5,7.12
@@ -178,6 +180,11 @@ class TestFit:
         assert fitted["alpha"] == pytest.approx(0.8, abs=1e-6)
         assert fitted["hurst"] == pytest.approx(0.75, abs=1e-6)
         assert report.converged
+        # where the same fit ended when every Jacobian column was a scipy
+        # 2-point difference
+        assert fitted["sigma"] == pytest.approx(2.5000000298114533, rel=1e-8)
+        assert fitted["alpha"] == pytest.approx(0.7999999955765418, rel=1e-8)
+        assert fitted["hurst"] == pytest.approx(0.7500000030512445, rel=1e-8)
 
     def test_exhausted_budget_not_converged(self, small_chain):
         # the path behind the calibrate command's exit code 2
@@ -206,9 +213,12 @@ class TestFit:
         report = cal.fit(small_chain, "cev", "joint", quick_optimizer)
         data = json.loads(report.to_json())
         assert set(data) == {"mode", "fitted", "mse_per_maturity", "total_mse",
-                             "iterations", "converged"}
+                             "iterations", "converged", "evaluations",
+                             "stderr", "jac_cond"}
         assert data["mode"] == "joint"
         assert set(data["fitted"]["joint"]) == {"sigma", "alpha"}
+        assert set(data["stderr"]["joint"]) == {"sigma", "alpha"}
+        assert set(data["jac_cond"]) == {"joint"}
 
     def test_total_mse_is_quote_weighted_mean(self, env100, quick_optimizer):
         model = ModelSpec.make("msfcev", sigma=0.3, alpha=1.2, hurst=0.75)
@@ -221,6 +231,118 @@ class TestFit:
         recombined = sum(report.mse_per_maturity[k] * counts[k]
                          for k in counts) / sum(counts.values())
         assert report.total_mse == pytest.approx(recombined, rel=1e-12)
+
+
+def _quotes_at(rate):
+    """Three maturities x strikes 80 (deep in the money), 100 and 120."""
+    return cal._Quotes(spot=100.0, maturities=np.repeat([0.25, 1.0, 2.0], 3),
+                       rates=np.full(9, rate),
+                       strikes=np.tile([80.0, 100.0, 120.0], 3),
+                       mids=np.zeros(9))
+
+
+def _jacobian_cases():
+    sample = cal._quote_arrays(cal.load_chain("data/sample_chain.csv").quotes)
+    for name in MODEL_NAMES:
+        cev = "cev" in name
+        yield (name, {"sigma": 2.5 if cev else 0.25, "alpha": 0.8,
+                      "hurst": 0.75}, sample)
+        for alpha in ((0.2, 1.5, 1.9) if cev else (2.0,)):
+            for rate in (0.0, 0.05):
+                # about 25% lognormal volatility at the spot, inside the box
+                sigma = min(0.25 * 100.0 ** (1.0 - 0.5 * alpha), 4.5)
+                yield (name, {"sigma": sigma, "alpha": alpha, "hurst": 0.75},
+                       _quotes_at(rate))
+    # a point a fit reached, where the density's Bessel argument passes 2^30
+    yield ("msfcev", {"sigma": 0.0481, "alpha": 1.9989, "hurst": 0.808},
+           _quotes_at(0.05))
+
+
+class TestJacobian:
+    @pytest.mark.parametrize("name,values,quotes", list(_jacobian_cases()))
+    def test_matches_central_differences(self, name, values, quotes):
+        names = cal.free_parameters(name)
+        problem = cal._Problem(name, names, quotes)
+        lo, hi = cal._box(names)
+        u = logit((np.array([values[n] for n in names]) - lo) / (hi - lo))
+        base = problem(u)
+        jac = problem.jac(u)
+        for j, param in enumerate(names):
+            if param == "alpha":
+                # scipy's 2-point forward difference, bit for bit; its
+                # rounding noise, a few 1e-6 of the column maximum, keeps it
+                # from meeting the analytic columns' bound
+                shifted = u.copy()
+                shifted[j] += (math.sqrt(np.finfo(float).eps) * max(1.0, abs(u[j]))
+                               * (1.0 if u[j] >= 0.0 else -1.0))
+                forward = (problem(shifted) - base) / (shifted[j] - u[j])
+                assert np.array_equal(jac[:, j], forward)
+                continue
+            up, down = u.copy(), u.copy()
+            up[j] += 1e-4
+            down[j] -= 1e-4
+            central = (problem(up) - problem(down)) / 2e-4
+            err = np.max(np.abs(jac[:, j] - central)) / np.max(np.abs(central))
+            assert err <= 1e-6, param
+
+    def test_alpha_column_reuses_the_last_residuals(self, small_chain):
+        names = cal.free_parameters("msfcev")
+        problem = cal._Problem("msfcev", names,
+                               cal._quote_arrays(small_chain.quotes))
+        u = np.array([0.1, -0.3, 0.2])
+        problem(u)
+        problem.jac(u)
+        assert problem.evaluations == 2  # the base point and the alpha step
+        problem.jac(u + 0.5)  # not the last evaluated point: priced again
+        assert problem.evaluations == 4
+
+    @pytest.mark.parametrize("name", ["bs", "mfbs", "msfbs"])
+    def test_bs_family_prices_no_jacobian_column(self, small_chain,
+                                                 quick_optimizer, name):
+        report = cal.fit(small_chain, name, "joint", quick_optimizer)
+        assert report.evaluations == report.iterations
+
+    def test_cev_family_counts_alpha_columns(self, small_chain,
+                                             quick_optimizer):
+        report = cal.fit(small_chain, "msfcev", "joint", quick_optimizer)
+        assert report.evaluations > report.iterations
+
+
+class TestUncertainty:
+    def test_one_parameter_standard_error(self, env100, quick_optimizer):
+        # bs has one parameter: stderr^2 = MSE n / (n - 1) / sum (dC/dsigma)^2
+        model = ModelSpec.make("msfcev", sigma=0.3, alpha=1.2, hurst=0.75)
+        chain = cal.synthetic_chain(model, env100, (0.5, 1.0), n_strikes=5,
+                                    noise=0.05, seed=3)
+        report = cal.fit(chain, "bs", "joint", quick_optimizer)
+        sigma = report.fitted["joint"]["sigma"]
+        quotes = cal._quote_arrays(chain.quotes)
+        step = 1e-6 * sigma
+        slope = (cal._residuals("bs", ("sigma",), [sigma + step], quotes)
+                 - cal._residuals("bs", ("sigma",), [sigma - step], quotes)) \
+            / (2.0 * step)
+        n = quotes.mids.size
+        want = math.sqrt(report.total_mse * n / (n - 1) / np.sum(slope ** 2))
+        assert report.stderr["joint"]["sigma"] == pytest.approx(want, rel=1e-6)
+        assert report.jac_cond == {"joint": 1.0}
+
+    def test_keyed_like_fitted_per_maturity(self, msfcev_chain,
+                                            quick_optimizer):
+        report = cal.fit(msfcev_chain, "cev", "per_maturity", quick_optimizer)
+        assert set(report.stderr) == set(report.fitted)
+        assert set(report.jac_cond) == set(report.fitted)
+        for key, values in report.stderr.items():
+            assert set(values) == {"sigma", "alpha"}
+            assert all(v >= 0.0 for v in values.values())
+            assert report.jac_cond[key] >= 1.0
+
+    def test_undefined_without_spare_quotes(self, quick_optimizer):
+        quote = cal.MarketQuote(strike=100.0, maturity=1.0, mid_price=8.0,
+                                spot=100.0, rate=0.05)
+        chain = cal.OptionChain(quote_date="2024-01-02", quotes=(quote,))
+        report = cal.fit(chain, "bs", "joint", quick_optimizer)
+        assert report.stderr == {"joint": None}
+        assert json.loads(report.to_json())["stderr"] == {"joint": None}
 
 
 class TestCompareModels:

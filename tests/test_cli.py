@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -167,6 +170,36 @@ class TestVerifyCommand:
         failed = [line.split()[0] for line in out.splitlines()
                   if line.endswith("FAIL")]
         assert failed == ["martingale_rel_gap"]
+
+
+    def test_fpe_at_bs_point_noted_on_stderr(self, capsys):
+        args = ["verify", "--model", "msfbs", "--sigma", "0.3", "--hurst",
+                "0.75", "--rate", "0.05", "--spot", "100", "--strike", "100",
+                "--maturity", "1", "--seed", "3", "--mc-paths", "20000"]
+        code, out, err = run(capsys, args)
+        code_fpe, out_fpe, err_fpe = run(capsys, args + ["--with-fpe"])
+        assert (code_fpe, out_fpe) == (code, out)
+        assert err == ""
+        assert err_fpe == ("note: fpe_l1_distance not available for msfbs; "
+                           "skipped\n")
+
+    def test_mc_at_mixed_cev_point_noted_on_stderr(self, capsys):
+        code, out, err = run(capsys, VERIFY_ARGS + ["--with-mc"])
+        assert code == 0
+        assert "euler_mc_z_score" not in out
+        assert err == ("note: euler_mc_z_score not available for msfcev; "
+                       "skipped\n")
+
+
+class TestColdStart:
+    def test_cli_import_leaves_scipy_stats_out(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        code = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, msfcev.cli; sys.exit('scipy.stats' in sys.modules)"],
+            env=env, timeout=60).returncode
+        assert code == 0
 
 
 class TestCalibrateCommand:

@@ -99,6 +99,24 @@ class TestBesselI:
         with pytest.raises(DomainError):
             bessel_i_scaled(np.array([1.0, math.nan]), 1.0)
 
+    @pytest.mark.parametrize("order", [0.0, 0.5, 2.5, 945.0, 1e4])
+    @pytest.mark.parametrize("z", [1.1e9, 2.37e9, 1e12])
+    def test_beyond_amos_argument_limit(self, order, z):
+        # special.ive returns NaN above z = 2^30; fits with alpha near 2 and
+        # a small sigma put the transition density's argument there
+        assert math.isnan(float(ive(order, z)))
+        with mpmath.workdps(30):
+            ref = float(mpmath.besseli(order, z) * mpmath.exp(-z))
+        assert bessel_i_scaled(order, z) == pytest.approx(ref, rel=1e-14)
+        mixed = bessel_i_scaled(np.array([order, order]), np.array([z, 50.0]))
+        assert mixed[0] == bessel_i_scaled(order, z)
+        assert mixed[1] == float(ive(order, 50.0))
+
+    def test_order_too_large_stays_nan(self):
+        # Amos refuses and the large-argument terms never fall
+        assert math.isnan(bessel_i_scaled(1e6, 2e9))
+        assert math.isnan(bessel_i_scaled(2e9, 1e3))
+
     def test_scaled_matches_log_path(self):
         # past z ~ 713 the unscaled I_nu overflows; mpmath's log I_nu - z
         # at 30 digits is the independent route to the scaled value

@@ -316,6 +316,14 @@ class TestQuadraturePrice:
         closed = call_price(m, env100, t, 100.0)
         assert quad == pytest.approx(closed, rel=1e-6)
 
+    @pytest.mark.parametrize("strike", [150.0, 200.0])
+    def test_deep_otm_tail_matches_closed_form(self, env100, strike):
+        # prices of 1e-25 and 1e-83: no absolute tolerance may swallow them
+        m = ModelSpec.make("msfcev", sigma=0.3, alpha=1.2, hurst=0.75)
+        quad = quadrature_price(m, env100, 0.5, strike)
+        closed = call_price(m, env100, 0.5, strike)
+        assert quad == pytest.approx(closed, rel=1e-6)
+
     def test_zero_strike_recovers_spot(self, env100):
         m = ModelSpec.make("msfcev", sigma=0.3, alpha=1.2, hurst=0.75)
         value = quadrature_price(m, env100, 1.0, 0.0)
