@@ -20,6 +20,7 @@ and a forward difference in alpha.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 import logging
@@ -430,6 +431,26 @@ class _Solution:
     jac_cond: float | None
 
 
+@functools.lru_cache(maxsize=64)
+def _sobol_starts(dim: int, n_starts: int, seed: int) -> np.ndarray:
+    """Scrambled-Sobol starting points in the logistic coordinates, read-only.
+
+    Cached, because a per-maturity fit and a model comparison ask for the
+    same starts once per maturity or model.
+    """
+    # imported here: scipy.stats costs more to import than the rest of the
+    # package, and only fits need it
+    from scipy.stats import qmc
+
+    sampler = qmc.Sobol(d=dim, scramble=True, seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # Sobol balance warning for odd counts
+        unit = sampler.random(n_starts)
+    starts = logit(0.02 + 0.96 * unit)  # keep logits finite
+    starts.flags.writeable = False
+    return starts
+
+
 def _fit_vector(model_name: str, names, quotes: _Quotes,
                 cfg: OptimizerConfig) -> _Solution:
     """Multi-start trust-region least squares; returns the best fit.
@@ -446,10 +467,6 @@ def _fit_vector(model_name: str, names, quotes: _Quotes,
     continuation, ``evaluations`` every pricing call; ``converged`` means
     the kept solve met a least-squares tolerance.
     """
-    # imported here: scipy.stats costs more to import than the rest of the
-    # package, and only fits need it
-    from scipy.stats import qmc
-
     problem = _Problem(model_name, names, quotes)
 
     def solve(u0, max_nfev):
@@ -461,16 +478,9 @@ def _fit_vector(model_name: str, names, quotes: _Quotes,
                         model_name, dict(zip(names, problem.params(u0))), exc)
             return None
 
-    sampler = qmc.Sobol(d=len(names), scramble=True, seed=cfg.seed)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # Sobol balance warning for odd counts
-        unit = sampler.random(cfg.n_starts)
-    unit = 0.02 + 0.96 * unit  # keep logits finite
-    starts = logit(unit)
-
     best = None
     iterations = 0
-    for u0 in starts:
+    for u0 in _sobol_starts(len(names), cfg.n_starts, cfg.seed):
         res = solve(u0, cfg.maxiter)
         if res is None:
             continue

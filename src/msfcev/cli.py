@@ -127,11 +127,17 @@ def _cmd_verify(args) -> int:
     checks = verify.run_checks(model, env, args.maturity, args.strike,
                                seed=args.seed, mc_paths=args.mc_paths,
                                with_mc=args.with_mc, with_fpe=args.with_fpe)
-    width = max(len(c.name) for c in checks)
-    print(f"{'check'.ljust(width)}  {'value':>14}  {'tolerance':>12}  status")
-    for c in checks:
-        print(f"{c.name.ljust(width)}  {c.value:14.6e}  {c.tol:12.3e}  "
-              f"{'PASS' if c.passed else 'FAIL'}")
+    if args.json:
+        # JSON has no NaN; a NaN value (which fails its row) goes out as null
+        print(json.dumps([{"name": c.name,
+                           "value": None if math.isnan(c.value) else c.value,
+                           "tol": c.tol, "passed": c.passed} for c in checks]))
+    else:
+        width = max(len(c.name) for c in checks)
+        print(f"{'check'.ljust(width)}  {'value':>14}  {'tolerance':>12}  status")
+        for c in checks:
+            print(f"{c.name.ljust(width)}  {c.value:14.6e}  {c.tol:12.3e}  "
+                  f"{'PASS' if c.passed else 'FAIL'}")
     return 0 if all(c.passed for c in checks) else 2
 
 
@@ -223,6 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-fpe", action="store_true",
                    help="include the forward-equation check (slower)")
     p.add_argument("--mc-paths", type=int, default=200_000)
+    p.add_argument("--json", action="store_true",
+                   help="print the rows as one JSON list of "
+                        "{name, value, tol, passed}")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("calibrate", help="fit one model to a chain CSV")

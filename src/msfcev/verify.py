@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import DomainError, NumericalError
 from .pricing import (Driver, Family, MarketEnv, ModelSpec, call_price,
@@ -138,7 +138,7 @@ def _check_inputs(maturity: float, strike: float | None = None,
 
 
 def solve_fpe(model: ModelSpec, env: MarketEnv, maturity: float,
-              grid: FpeGrid, initial_spot: float | None = None) -> FpeSolution:
+              grid: FpeGrid) -> FpeSolution:
     """Crank-Nicolson solution of the forward equation in x = S^(2-alpha).
 
         dP/dt = d^2/dx^2 [ D(t) x P ] - d/dx [ ((2-a) r x + c(t)) P ]
@@ -148,14 +148,19 @@ def solve_fpe(model: ModelSpec, env: MarketEnv, maturity: float,
     density at the right edge; the initial delta is mollified to a
     Gaussian of width two grid cells.  Absorbed mass is tracked from the
     boundary flux so that mass + absorbed stays at 1.
+
+    The interior operator is affine in D: L(t) = D(t) A + R, with the
+    diffusion and the c-advection in A and the r-advection in R.  Both are
+    built once, so a step forms its tridiagonal from D at the new time,
+    reuses it as the next step's explicit operator, and solves it with one
+    LAPACK ``gtsv`` call.
     """
     if model.family != Family.CEV:
         raise DomainError("the forward-equation oracle covers the CEV family only")
     _check_inputs(maturity)
-    spot = env.spot if initial_spot is None else float(initial_spot)
     a = model.alpha
     p = model.driver_params
-    x0 = spot ** (2.0 - a)
+    x0 = env.spot ** (2.0 - a)
     n = grid.n_space
     h = (grid.x_max - grid.x_min) / n
     x = grid.x_min + h * np.arange(n + 1)
@@ -170,17 +175,31 @@ def solve_fpe(model: ModelSpec, env: MarketEnv, maturity: float,
             kern += p.gamma ** 2 * diffusion_kernel(model.driver, p.hurst, t)
         return kern * (2.0 - a) ** 2 * model.sigma ** 2
 
-    r2a = (2.0 - a) * env.rate
+    dt = maturity / grid.n_time
+    d = [dcoef(t) for t in dt * np.arange(grid.n_time + 1)]
 
-    def bands(t: float):
-        """Tridiagonal of the spatial operator L(t) on interior nodes."""
-        d = dcoef(t)
-        c = d * (1.0 - a) / (2.0 - a)
-        v = r2a * x + c
-        diag = -2.0 * d * x[1:-1] / h ** 2
-        lower = d * x[1:-2] / h ** 2 + v[1:-2] / (2.0 * h)   # couples to i-1
-        upper = d * x[2:-1] / h ** 2 - v[2:-1] / (2.0 * h)   # couples to i+1
-        return lower, diag, upper
+    # tridiagonals of A and R on the interior nodes, scaled by -dt/2, so the
+    # implicit matrix at D is I + D A + R and the explicit one I - D A - R;
+    # lower couples row i to node i-1, upper to node i+1
+    kappa = (1.0 - a) / (2.0 - a)
+    r2a = (2.0 - a) * env.rate
+    xi = x[1:-1]
+    scale = -0.5 * dt
+    a_di = scale * (-2.0 * xi / h ** 2)
+    a_lo = scale * (xi[:-1] / h ** 2 + kappa / (2.0 * h))
+    a_up = scale * (xi[1:] / h ** 2 - kappa / (2.0 * h))
+    r_lo = scale * r2a * xi[:-1] / (2.0 * h)
+    r_up = -scale * r2a * xi[1:] / (2.0 * h)
+
+    def bands(dk: float):
+        return dk * a_di, dk * a_lo + r_lo, dk * a_up + r_up
+
+    x_1, x_n = float(xi[0]), float(xi[-1])
+
+    def outflow(u: np.ndarray, dk: float) -> float:
+        """Rate at which mass leaves through both edges."""
+        return (u[0] * (dk * (x_1 / h - 0.5 * kappa) - 0.5 * r2a * x_1)
+                + u[-1] * (dk * (x_n / h + 0.5 * kappa) + 0.5 * r2a * x_n))
 
     # mollified delta, normalized to discrete mass 1
     width = 2.0 * h
@@ -188,42 +207,32 @@ def solve_fpe(model: ModelSpec, env: MarketEnv, maturity: float,
     dens[0] = dens[-1] = 0.0
     dens /= np.trapezoid(dens, dx=h)
 
-    def boundary_outflow(dens_now: np.ndarray, t: float) -> float:
-        d = dcoef(t)
-        c = d * (1.0 - a) / (2.0 - a)
-        left = d * x[1] * dens_now[1] / h - 0.5 * (r2a * x[1] + c) * dens_now[1]
-        right = d * x[-2] * dens_now[-2] / h + 0.5 * (r2a * x[-2] + c) * dens_now[-2]
-        return left + right
-
-    dt = maturity / grid.n_time
+    u = dens[1:-1]
+    di, lo, up = bands(d[0])
+    out_now = outflow(u, d[0])
     absorbed = 0.0
     drift_max = 0.0
-    ident = np.ones(n - 1)
-    for step in range(grid.n_time):
-        t_now = step * dt
-        t_next = t_now + dt
-        lo_n, di_n, up_n = bands(t_now)
-        lo_p, di_p, up_p = bands(t_next)
-        rhs = (dens[1:-1] * (1.0 + 0.5 * dt * di_n)
-               + 0.5 * dt * (np.append(up_n, 0.0) * np.append(dens[2:-1], 0.0)
-                             + np.append(0.0, lo_n) * np.append(0.0, dens[1:-2])))
-        ab = np.zeros((3, n - 1))
-        ab[0, 1:] = -0.5 * dt * up_p
-        ab[1, :] = ident - 0.5 * dt * di_p
-        ab[2, :-1] = -0.5 * dt * lo_p
-        new_interior = solve_banded((1, 1), ab, rhs)
-        out_rate = 0.5 * (boundary_outflow(dens, t_now)
-                          + boundary_outflow(
-                              np.concatenate(([0.0], new_interior, [0.0])), t_next))
-        dens = np.concatenate(([0.0], new_interior, [0.0]))
-        absorbed += out_rate * dt
-        mass = float(np.trapezoid(dens, dx=h))
+    for step in range(1, grid.n_time + 1):
+        rhs = u - di * u
+        rhs[:-1] -= up * u[1:]
+        rhs[1:] -= lo * u[:-1]
+        di, lo, up = bands(d[step])
+        _, _, _, u, info = dgtsv(lo, 1.0 + di, up, rhs,
+                                 overwrite_d=1, overwrite_b=1)
+        if info != 0:
+            raise NumericalError(
+                f"tridiagonal solve failed at step {step} (LAPACK info {info})")
+        out_next = outflow(u, d[step])
+        absorbed += 0.5 * (out_now + out_next) * dt
+        out_now = out_next
+        mass = h * float(u.sum())
         drift = abs(mass + absorbed - 1.0)
         drift_max = max(drift_max, drift)
         if drift > 1e-3:
             raise NumericalError(
-                f"mass conservation drifted to {drift:.3e} at step {step + 1}; "
+                f"mass conservation drifted to {drift:.3e} at step {step}; "
                 "refine the grid or widen the x range")
+    dens = np.concatenate(([0.0], u, [0.0]))
     s = np.zeros_like(x)
     np.power(x, 1.0 / (2.0 - a), out=s, where=x > 0.0)
     jac = np.zeros_like(s)
@@ -303,16 +312,10 @@ def mc_price_cev_classical(model: ModelSpec, env: MarketEnv, maturity: float,
 
     def payoff(z: np.ndarray) -> np.ndarray:
         s = np.full(z.shape[0], env.spot)
-        alive = np.ones(z.shape[0], dtype=bool)
         for step in range(cfg.n_steps):
-            s_a = s[alive]
-            s_a = s_a + env.rate * s_a * dt + sig * s_a ** half_alpha * sq_dt * z[alive, step]
-            dead = s_a <= 0.0
-            s_a[dead] = 0.0
-            s[alive] = s_a
-            if np.any(dead):
-                idx = np.flatnonzero(alive)
-                alive[idx[dead]] = False
+            # every path takes the step; one that has hit zero stays there
+            nxt = s + env.rate * s * dt + sig * s ** half_alpha * sq_dt * z[:, step]
+            s = np.where(s > 0.0, np.maximum(nxt, 0.0), 0.0)
         return np.maximum(s - strike, 0.0)
 
     return _mc_price(cfg, math.exp(-env.rate * maturity), 16384,

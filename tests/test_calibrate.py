@@ -186,6 +186,16 @@ class TestFit:
         assert fitted["alpha"] == pytest.approx(0.7999999955765418, rel=1e-8)
         assert fitted["hurst"] == pytest.approx(0.7500000030512445, rel=1e-8)
 
+    def test_sobol_starts_built_once_and_read_only(self):
+        from scipy.stats import qmc
+
+        starts = cal._sobol_starts(3, 8, 42)
+        assert cal._sobol_starts(3, 8, 42) is starts
+        assert cal._sobol_starts(3, 8, 43) is not starts
+        assert not starts.flags.writeable
+        unit = qmc.Sobol(d=3, scramble=True, seed=42).random(8)
+        assert np.array_equal(starts, logit(0.02 + 0.96 * unit))
+
     def test_exhausted_budget_not_converged(self, small_chain):
         # the path behind the calibrate command's exit code 2
         cfg = cal.OptimizerConfig(n_starts=1, seed=0, maxiter=2,

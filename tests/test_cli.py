@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -171,6 +172,42 @@ class TestVerifyCommand:
                   if line.endswith("FAIL")]
         assert failed == ["martingale_rel_gap"]
 
+    def test_json_rows(self, capsys):
+        code, out, err = run(capsys, VERIFY_ARGS + ["--json"])
+        checks = verify.run_checks(
+            pricing.ModelSpec.make("msfcev", sigma=0.3, alpha=1.2, hurst=0.75),
+            pricing.MarketEnv(rate=0.05, spot=100.0), 0.5, 105.0, seed=3,
+            mc_paths=200_000)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == [
+            {"name": c.name, "value": c.value, "tol": c.tol, "passed": True}
+            for c in checks]
+
+    def test_json_failed_row_exits_two(self, capsys, monkeypatch):
+        real = verify.quadrature_price
+
+        def half_mass(model, env, maturity, strike):
+            if strike == 0.0:
+                return 0.5 * env.spot
+            return real(model, env, maturity, strike)
+
+        monkeypatch.setattr(verify, "quadrature_price", half_mass)
+        code, out, _ = run(capsys, VERIFY_ARGS + ["--json"])
+        rows = json.loads(out)
+        assert code == 2
+        assert [r["name"] for r in rows if not r["passed"]] == ["martingale_rel_gap"]
+        assert next(r["value"] for r in rows
+                    if r["name"] == "martingale_rel_gap") == 0.5
+
+    def test_json_nan_value_is_null(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "run_checks", lambda *a, **k: [
+            verify.Check("nan_row", math.nan, 1.0),
+            verify.Check("ok_row", 0.0, 1.0)])
+        code, out, _ = run(capsys, VERIFY_ARGS + ["--json"])
+        assert code == 2
+        assert json.loads(out) == [
+            {"name": "nan_row", "value": None, "tol": 1.0, "passed": False},
+            {"name": "ok_row", "value": 0.0, "tol": 1.0, "passed": True}]
 
     def test_fpe_at_bs_point_noted_on_stderr(self, capsys):
         args = ["verify", "--model", "msfbs", "--sigma", "0.3", "--hurst",

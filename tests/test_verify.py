@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from msfcev.errors import DomainError
+from msfcev.errors import DomainError, NumericalError
 from msfcev.pricing import (MarketEnv, ModelSpec, call_price,
                             driver_variance, black_scholes_call,
                             transition_density)
@@ -68,6 +68,51 @@ class TestFpe:
         with pytest.raises(DomainError):
             solve_fpe(ModelSpec.make("bs", sigma=0.3), env100, 1.0,
                       FpeGrid(x_min=0.0, x_max=400.0, n_space=100, n_time=100))
+
+    # the acceptance-5 grids and a point where 13% of the mass is absorbed;
+    # values recorded with the earlier solver, which rebuilt both
+    # tridiagonals every step and solved them by banded LU
+    @pytest.mark.parametrize("model,maturity,grid,mass,absorbed,l1,peak,nodes", [
+        (ModelSpec.make("cev", sigma=0.3, alpha=1.0), 1.0,
+         FpeGrid(x_min=0.0, x_max=450.0, n_space=2400, n_time=600),
+         0.9999999999999966, 0.0, 0.0075172871396396584, 0.12714051187753725,
+         {450: 4.164963469239166e-12, 500: 0.00012979543642244526,
+          533: 0.032495945169124296, 600: 0.008453087879867812,
+          700: 9.948364335843477e-15}),
+        (ModelSpec.make("msfcev", sigma=0.3, alpha=1.5, hurst=0.7), 0.25,
+         FpeGrid(x_min=0.0, x_max=14.0, n_space=1400, n_time=500),
+         0.9999999999999993, 3.7020332327150467e-37, 0.0023683776383698384,
+         1.416616018209763,
+         {900: 0.0008893205257198103, 960: 0.3772931031019245,
+          1000: 1.3919092790241916, 1040: 0.6710861914490007,
+          1100: 0.006403057547329988}),
+        (ModelSpec.make("cev", sigma=10.0, alpha=1.0), 1.0,
+         FpeGrid(x_min=0.0, x_max=900.0, n_space=2400, n_time=600),
+         0.870287220791254, 0.12971277920841331, 4.738068453025459e-05,
+         0.005150967870191798,
+         {1: 0.0051471020358534745, 100: 0.004860119061879895,
+          267: 0.0035673616569150404, 500: 0.0018316544353766588,
+          1000: 0.0002783274156752839}),
+    ])
+    def test_pinned_to_banded_lu(self, env100, model, maturity, grid, mass,
+                                     absorbed, l1, peak, nodes):
+        got_l1, sol = fpe_l1(model, env100, maturity, grid)
+        assert sol.mass == pytest.approx(mass, abs=1e-12)
+        assert sol.absorbed == pytest.approx(absorbed, abs=1e-12)
+        assert got_l1 == pytest.approx(l1, abs=1e-12)
+        assert sol.density_x.max() == pytest.approx(peak, abs=1e-12 * peak)
+        for i, value in nodes.items():
+            assert sol.density_x[i] == pytest.approx(value, abs=1e-12 * peak)
+        assert sol.conservation_drift <= 1e-12
+
+    def test_failed_tridiagonal_solve_raises(self, env100, monkeypatch):
+        def singular(dl, d, du, b, **_):
+            return dl, d, du, b, 1
+
+        monkeypatch.setattr(verify, "dgtsv", singular)
+        with pytest.raises(NumericalError, match="at step 1 "):
+            solve_fpe(ModelSpec.make("cev", sigma=0.3, alpha=1.0), env100, 1.0,
+                      FpeGrid(x_min=0.0, x_max=450.0, n_space=100, n_time=100))
 
 
 class TestMcMsfbs:
@@ -195,6 +240,19 @@ class TestMcPinned:
         mc = mc_price_cev_classical(m, env100, 0.5, 95.0,
                                     McConfig(n_paths=n_paths, n_steps=100,
                                              seed=23, antithetic=antithetic))
+        assert (mc.price, mc.se) == (price, se)
+
+    @pytest.mark.parametrize("n_paths,antithetic,price,se", [
+        (20001, False, 26.444331405579423, 0.2286543262932333),
+        (40002, True, 26.323163066653986, 0.0963731556969356),
+    ])
+    def test_cev_classical_absorbed_paths(self, env100, n_paths, antithetic,
+                                          price, se):
+        # local volatility 30 S^(-0.9): about 1.7% of the paths hit zero
+        m = ModelSpec.make("cev", sigma=30.0, alpha=0.2)
+        mc = mc_price_cev_classical(m, env100, 1.0, 90.0,
+                                    McConfig(n_paths=n_paths, n_steps=200,
+                                             seed=29, antithetic=antithetic))
         assert (mc.price, mc.se) == (price, se)
 
     def test_antithetic_needs_even_paths(self, env100):
