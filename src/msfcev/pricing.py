@@ -28,8 +28,8 @@ independent oracle in :mod:`msfcev.verify`.
 
 :func:`chain_prices` prices a whole option chain, every (maturity, rate,
 strike) quote on one spot, with one vectorised Phi evaluation and one
-chi-squared call (CEV) or one normal-cdf pair (BS); :func:`call_prices` is
-its one-maturity case.
+chi-squared call over the two tails each quote uses (CEV) or one
+normal-cdf pair (BS); :func:`call_prices` is its one-maturity case.
 """
 
 from __future__ import annotations
@@ -360,17 +360,20 @@ def _bs_d1(spot: float, k, r, t, sv):
         return (np.log(spot / k) + r * t) / sv + 0.5 * sv
 
 
-def _assemble_call(spot: float, discounted_strike, sf1, cdf1, sf2, cdf2):
+def _assemble_call(spot: float, discounted_strike, itm, q1, q2):
     """Stable assembly of S0 Q1 - E' (1 - Q2) by moneyness.
 
-    Both expressions are algebraically the same price.  In the money the
+    ``q1`` is the Q1 side's distribution function in the money and its
+    survival function out of the money; ``q2`` is the Q2 side's survival
+    function in the money and its distribution function out of it.  Both
+    forms are algebraically the same price.  In the money the
     complementary form keeps the tiny tail corrections on top of intrinsic
     value at full relative accuracy; out of the money the direct form adds
     two small positive tails.
     """
-    itm_form = (spot - discounted_strike) + discounted_strike * sf2 - spot * cdf1
-    otm_form = spot * sf1 - discounted_strike * cdf2
-    price = np.where(spot >= discounted_strike, itm_form, otm_form)
+    itm_form = (spot - discounted_strike) + discounted_strike * q2 - spot * q1
+    otm_form = spot * q1 - discounted_strike * q2
+    price = np.where(itm, itm_form, otm_form)
     lower = np.maximum(spot - discounted_strike, 0.0)
     return np.minimum(np.maximum(price, lower), spot)
 
@@ -415,10 +418,10 @@ def chain_prices(model: ModelSpec, spot: float, maturities, rates,
 
     The three quote arguments broadcast against each other (per-quote
     arrays, or scalars shared by every quote); the result is a 1-d array.
-    A CEV chain is one vectorised Phi evaluation and one chi-squared call:
-    the Q1 side ``(2z, df1, 2y)`` and the Q2 side ``(2y, df0, 2z)`` of
-    every quote go through :func:`specfun.chi2_noncentral_sf_cdf`
-    together.  A BS chain is one normal-cdf pair.
+    A CEV chain is one vectorised Phi evaluation and one chi-squared call
+    over the Q1 side ``(2z, df1, 2y)`` and the Q2 side ``(2y, df0, 2z)``
+    of every quote, each side in the one tail its quote's form of
+    :func:`_assemble_call` uses.  A BS chain is one normal-cdf pair.
     """
     t, r, k = _chain_arrays(spot, maturities, rates, strikes)
     if model.family == Family.BS:
@@ -428,12 +431,14 @@ def chain_prices(model: ModelSpec, spot: float, maturities, rates,
     two_y, two_z = 2.0 * y, 2.0 * z
     df0 = 2.0 / (2.0 - model.alpha)
     n = two_y.size
-    sf, cdf = specfun.chi2_noncentral_sf_cdf(
+    discounted_strike = k * np.exp(-r * t)
+    itm = spot >= discounted_strike
+    tails = specfun.chi2_noncentral_sf_cdf(
         np.concatenate((two_z, two_y)),
         np.repeat((2.0 + df0, df0), n),
-        np.concatenate((two_y, two_z)))
-    return _assemble_call(spot, k * np.exp(-r * t),
-                          sf[:n], cdf[:n], sf[n:], cdf[n:])
+        np.concatenate((two_y, two_z)),
+        upper=np.concatenate((~itm, itm)))
+    return _assemble_call(spot, discounted_strike, itm, tails[:n], tails[n:])
 
 
 _HURST_STEP = 1e-6  # central-difference step of M(1, 1+2H, z) in H

@@ -6,8 +6,8 @@ Domain-checked functions the pricing engine rests on:
 * ``bessel_i_scaled`` -- exponentially scaled modified Bessel function
   of the first kind, ``exp(-z) * I_nu(z)`` for real order ``nu >= 0``,
   overflow-free inside transition densities,
-* ``chi2_noncentral_sf_cdf`` -- survival and distribution functions of the
-  non-central chi-squared distribution, together.
+* ``chi2_noncentral_sf_cdf`` -- survival or distribution function of the
+  non-central chi-squared distribution, the tail chosen per point.
 
 The Bessel and chi-squared functions broadcast over array arguments and
 evaluate through scipy's vectorised ufuncs: ``scipy.special.ive`` (Amos)
@@ -123,29 +123,85 @@ def _ive_hankel(order: np.ndarray, z: np.ndarray) -> np.ndarray:
 # Non-central chi-squared survival / distribution functions
 # ---------------------------------------------------------------------------
 
-def chi2_noncentral_sf_cdf(x, df, noncentrality):
-    """Survival and distribution functions of chi2(df, nc) at x together.
+# Above this non-centrality the Poisson series behind both kernels needs more
+# terms than Boost's iteration cap allows, and their tails lose digits;
+# _tail_quadrature takes both tails over there.
+_SERIES_NC_MAX = 1e9
 
-    All three arguments broadcast.  The survival function is Boost's
-    ``_ncx2_sf`` and the distribution function ``scipy.special.chndtr``,
-    one vectorised call each; both are computed directly rather than as
-    ``1 - other``, so deep tails on either side keep relative accuracy.
-    Two edges follow ``scipy.stats.ncx2.sf``, bit for bit: the survival
-    function is 1 at x = 0 (where Boost returns -0.0), and at nc = 0 it is
-    the central ``chdtrc`` (Boost's non-central tail is an ulp off there).
-    Returns a pair of arrays (or floats when every argument is scalar).
+# composite Gauss-Legendre rule on [0, 1]: four panels of 16 nodes
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_TAIL_NODES = ((np.arange(4.0)[:, None] + 0.5 * (_GAUSS_NODES + 1.0)) / 4.0).ravel()
+_TAIL_WEIGHTS = np.tile(_GAUSS_WEIGHTS, 4) / 8.0
+
+
+def chi2_noncentral_sf_cdf(x, df, noncentrality, upper):
+    """One tail of chi2(df, nc) at x per point: sf where ``upper``, else cdf.
+
+    All four arguments broadcast; ``upper`` is a bool or bool array that
+    picks the tail of every point, and each point goes through one kernel
+    only.  The survival function is Boost's ``_ncx2_sf`` and the
+    distribution function ``scipy.special.chndtr``, each computed directly
+    rather than as ``1 - other``, so deep tails on either side keep
+    relative accuracy.  Two edges follow ``scipy.stats.ncx2.sf``, bit for
+    bit: the survival function is 1 at x = 0 (where Boost returns -0.0),
+    and at nc = 0 it is the central ``chdtrc`` (Boost's non-central tail is
+    an ulp off there).  Above nc = 1e9, where Boost's series runs past its
+    iteration cap and ``chndtr`` loses digits, either tail is a quadrature
+    of the density (:func:`_tail_quadrature`).  Returns an array (a float
+    when every argument is scalar).
     """
     x = _checked(x, _finite_non_negative,
                  "chi-squared argument must be finite and >= 0")
     df = _checked(df, lambda v: (v > 0.0) & (v < math.inf),
                   "degrees of freedom must be positive")
     nc = _checked(noncentrality, _finite_non_negative, "non-centrality must be >= 0")
-    inside = np.greater(x, 0.0)
+    upper = np.asarray(upper, dtype=bool)
+    sf_inside = upper & np.greater(x, 0.0)
+    lower = ~upper
     central = np.equal(nc, 0.0)
-    sf = np.ones(np.broadcast_shapes(np.shape(x), np.shape(df), np.shape(nc)))
+    out = np.ones(np.broadcast_shapes(np.shape(x), np.shape(df), np.shape(nc),
+                                      upper.shape))
+    series = np.less_equal(nc, _SERIES_NC_MAX)
+    if not series.all():
+        far = ~np.broadcast_to(series, out.shape)
+        out[far] = _tail_quadrature(*(np.broadcast_to(v, out.shape)[far]
+                                      for v in (x, df, nc, upper)))
+        sf_inside = sf_inside & series
+        lower = lower & series
     with np.errstate(over="ignore"):  # as ncx2.sf does (scipy gh-17432)
-        _ncx2_sf(x, df, nc, out=sf, where=inside & ~central)
-    special.chdtrc(df, x, out=sf, where=inside & central)
-    return (_float_if_scalar(sf),
-            _float_if_scalar(special.chndtr(x, df, nc)))
+        _ncx2_sf(x, df, nc, out=out, where=sf_inside & ~central)
+    special.chdtrc(df, x, out=out, where=sf_inside & central)
+    special.chndtr(x, df, nc, out=out, where=lower)
+    return _float_if_scalar(out)
 
+
+def _tail_quadrature(x, df, nc, upper):
+    """sf (where ``upper``) or cdf of chi2(df, nc) at x, for a large nc.
+
+    In u = sqrt(t) the density of chi2(df, nc) is
+
+        u (u/c)^nu exp(-(u - c)^2 / 2) ive(nu, u c),  c = sqrt(nc), nu = df/2 - 1,
+
+    close to a unit normal about c once nc is large.  The tail on the far
+    side of sqrt(x) from c is integrated by the composite Gauss-Legendre
+    rule over the span in which exp(-(d + v)^2 / 2) falls by e^-40 from
+    its value at v = 0, d = |sqrt(x) - c|; the other tail is one minus it.
+    Below df = 2 the order is negative; ive(-nu, z) differs from ive(nu, z)
+    by a term in exp(-2z), and z = u c stays above ~nc at every node that
+    counts.
+    """
+    root_x, c = np.sqrt(x), np.sqrt(nc)
+    gap = (x - nc) / (root_x + c)  # sqrt(x) - c without the cancellation
+    above = gap >= 0.0
+    span = np.sqrt(gap * gap + 80.0) - np.abs(gap)
+    span = np.where(above, span, np.minimum(span, root_x))
+    offset = gap[:, None] + np.where(above, 1.0, -1.0)[:, None] * (
+        span[:, None] * _TAIL_NODES)  # u - c at every node
+    nu = 0.5 * df[:, None] - 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):  # x = 0: empty span
+        log_f = (np.log(c[:, None] + offset) + nu * np.log1p(offset / c[:, None])
+                 - 0.5 * offset ** 2)
+        f = np.exp(log_f) * bessel_i_scaled(np.abs(nu),
+                                            c[:, None] * (c[:, None] + offset))
+        tail = np.where(span > 0.0, span * (f @ _TAIL_WEIGHTS), 0.0)
+    return np.where(above == upper, tail, 1.0 - tail)

@@ -4,12 +4,15 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import ive
 from scipy.stats import norm
 
+from msfcev import pricing, specfun
 from msfcev.errors import DomainError
-from msfcev.pricing import (Driver, Family, MarketEnv, ModelSpec,
+from msfcev.pricing import (MODEL_NAMES, Driver, Family, MarketEnv, ModelSpec,
                             black_scholes_call, call_price, call_prices,
                             cev_intermediates, chain_prices, diffusion_kernel,
                             driver_variance, effective_variance, price_curve,
@@ -364,6 +367,165 @@ class TestChainPrices:
         # zero total variance is intrinsic value
         assert black_scholes_call(100.0, 90.0, 0.05, 1.0, 0.0) == \
             pytest.approx(100.0 - 90.0 * math.exp(-0.05), rel=1e-15)
+
+
+def four_tail_prices(model, spot, t, r, k):
+    """Both tails at every point, then the price by moneyness, as each form reads it.
+
+    The reference for the per-quote choice of tails in ``chain_prices``:
+    the same coordinates, the survival and the distribution function of the
+    Q1 side ``(2z, df0 + 2, 2y)`` and of the Q2 side ``(2y, df0, 2z)`` at
+    every quote, the in-the-money form where S0 >= K e^(-rT) and the
+    out-of-the-money form elsewhere, clamped to the no-arbitrage bounds.
+    """
+    _, y, z = pricing._cev_coordinates(model, spot, t, r, k)
+    df0 = 2.0 / (2.0 - model.alpha)
+    q1, q2 = (2.0 * z, 2.0 + df0, 2.0 * y), (2.0 * y, df0, 2.0 * z)
+    sf1, cdf1, sf2, cdf2 = (specfun.chi2_noncentral_sf_cdf(*q, upper=upper)
+                            for q in (q1, q2) for upper in (True, False))
+    e = k * np.exp(-r * t)
+    itm_form = (spot - e) + e * sf2 - spot * cdf1
+    otm_form = spot * sf1 - e * cdf2
+    price = np.where(spot >= e, itm_form, otm_form)
+    return np.minimum(np.maximum(price, np.maximum(spot - e, 0.0)), spot)
+
+
+@pytest.fixture
+def kernel_points(monkeypatch):
+    """Points each chi-squared kernel evaluates, counted through its ``where`` mask."""
+    counts = {"sf": 0, "cdf": 0}
+
+    def counted(kernel, key):
+        def wrapper(*args, out=None, where=True):
+            shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+            counts[key] += int(np.count_nonzero(np.broadcast_to(where, shape)))
+            return kernel(*args, out=out, where=where)
+        return wrapper
+
+    monkeypatch.setattr(specfun, "_ncx2_sf", counted(specfun._ncx2_sf, "sf"))
+    monkeypatch.setattr(specfun.special, "chdtrc",
+                        counted(specfun.special.chdtrc, "sf"))
+    monkeypatch.setattr(specfun.special, "chndtr",
+                        counted(specfun.special.chndtr, "cdf"))
+    return counts
+
+
+class TestTailChoice:
+    """``chain_prices`` evaluates only the two tails each quote's form uses."""
+
+    SPOT, RATE = 100.0, 0.05
+    MATURITIES = (0.1, 1.0, 5.0)
+
+    def chain(self):
+        """Strikes from 8 sd in the money to 8 out at each maturity.
+
+        Every maturity includes K = S0 e^(rT) exactly, where the two forms
+        switch, and the floats either side of it.
+        """
+        ts, ks = [], []
+        for t in self.MATURITIES:
+            switch = self.SPOT * math.exp(self.RATE * t)
+            ladder = switch * np.exp(np.linspace(-8.0, 8.0, 13) * 0.3 * math.sqrt(t))
+            strikes = np.concatenate((ladder, [switch, np.nextafter(switch, 0.0),
+                                               np.nextafter(switch, math.inf)]))
+            ts += [t] * strikes.size
+            ks += strikes.tolist()
+        return np.array(ts), np.array(ks)
+
+    @pytest.mark.parametrize("name", sorted(MODEL_NAMES))
+    def test_same_prices_as_four_tails_bit_for_bit(self, name, kernel_points):
+        t, k = self.chain()
+        n = k.size
+        assert (self.SPOT >= k * np.exp(-self.RATE * t)).any()
+        assert (self.SPOT < k * np.exp(-self.RATE * t)).any()
+        for alpha in (0.0, 0.5, 1.0, 1.5, 1.99, 1.999):
+            # 30% at-the-money volatility whatever the model and alpha
+            sigma = 0.3 * (self.SPOT ** (1.0 - 0.5 * alpha) if "cev" in name else 1.0)
+            if name not in ("bs", "cev"):
+                sigma /= math.sqrt(2.0)
+            m = make(name, sigma=sigma, alpha=alpha, hurst=0.75)
+            kernel_points.update(sf=0, cdf=0)
+            got = chain_prices(m, self.SPOT, t, self.RATE, k)
+            if m.family == Family.BS:
+                # no chi-squared tail at all; the closed form is unchanged
+                assert kernel_points == {"sf": 0, "cdf": 0}
+                v = m.sigma ** 2 * driver_variance(m.driver, m.driver_params, t)
+                np.testing.assert_array_equal(
+                    got, black_scholes_call(self.SPOT, k, self.RATE, t, v))
+                continue
+            # n of each; evaluating both tails at both sides took 2n of each
+            assert kernel_points == {"sf": n, "cdf": n}
+            assert np.array_equal(got, four_tail_prices(m, self.SPOT, t, self.RATE, k))
+
+    def test_prices_match_mpmath_table(self, mpmath_table_rows):
+        # every row of the 80-digit price table through chain_prices
+        assert len(mpmath_table_rows) == 63
+        for row in mpmath_table_rows:
+            s, a, h, r, t, spot, k = (float(row[key]) for key in (
+                "sigma", "alpha", "hurst", "rate", "maturity", "spot", "strike"))
+            m = ModelSpec.make(row["model"], sigma=s, alpha=a, hurst=h)
+            ref = mpmath.mpf(row["price"])
+            got = chain_prices(m, spot, t, r, k)[0]
+            assert abs(got - ref) <= 1e-6 * ref, (row, got)
+
+
+# the admissible CEV domain: alpha up to 1.999, at-the-money volatility 5% to
+# 80%, maturities up to 5 years, strikes up to 8 sd either side of the forward
+cev_models = st.builds(
+    lambda name, alpha, vol, hurst: make(
+        name, alpha=alpha, hurst=hurst,
+        sigma=vol * 100.0 ** (1.0 - 0.5 * alpha)
+        / (1.0 if name == "cev" else math.sqrt(2.0))),
+    st.sampled_from(("cev", "mfcev", "msfcev")),
+    st.one_of(st.sampled_from((0.0, 1.99, 1.999)), st.floats(0.0, 1.999)),
+    st.floats(0.05, 0.8),
+    st.floats(0.5, 0.95))
+rates = st.floats(0.0, 0.1)
+maturities = st.floats(0.02, 5.0)
+# centre of a strike ladder in sd of log-moneyness from K = S0 e^(rT), where
+# the price switches form; 0 puts the switch in the middle of the ladder
+moneyness = st.one_of(st.just(0.0), st.floats(-8.0, 8.0))
+# float rounding of prices assembled from terms of the size of the spot
+PRICE_TOL = 1e-12 * 100.0
+
+
+def switch_ladder(rate, t, m, vol_t, step):
+    """Nine strikes around S0 e^(rT + m vol_t), ``step`` of the centre apart."""
+    centre = 100.0 * math.exp(rate * t + m * vol_t)
+    return centre * (1.0 + step * np.arange(-4.0, 5.0))
+
+
+class TestPriceProperties:
+    """No-arbitrage properties of the CEV price over the admissible domain."""
+
+    @given(model=cev_models, rate=rates, t=maturities, m=moneyness,
+           step=st.floats(1e-3, 0.2))
+    @settings(max_examples=60, deadline=None)
+    def test_within_no_arbitrage_bounds(self, model, rate, t, m, step):
+        strikes = switch_ladder(rate, t, m, 0.3 * math.sqrt(t), step)
+        prices = chain_prices(model, 100.0, t, rate, strikes)
+        lower = np.maximum(100.0 - strikes * math.exp(-rate * t), 0.0)
+        assert np.all(prices >= lower - PRICE_TOL)
+        assert np.all(prices <= 100.0 + PRICE_TOL)
+
+    @given(model=cev_models, rate=rates, t=maturities, m=moneyness,
+           step=st.floats(1e-3, 0.2))
+    @settings(max_examples=60, deadline=None)
+    def test_decreasing_and_convex_in_strike(self, model, rate, t, m, step):
+        strikes = switch_ladder(rate, t, m, 0.3 * math.sqrt(t), step)
+        prices = chain_prices(model, 100.0, t, rate, strikes)
+        assert np.all(np.diff(prices) <= PRICE_TOL)
+        # equal spacing: convexity is a non-negative second difference
+        assert np.all(np.diff(prices, 2) >= -PRICE_TOL)
+
+    @given(model=cev_models, rate=rates, t=maturities, m=moneyness,
+           later=st.floats(0.0, 2.0))
+    @settings(max_examples=60, deadline=None)
+    def test_non_decreasing_in_maturity(self, model, rate, t, m, later):
+        strike = 100.0 * math.exp(rate * t + m * 0.3 * math.sqrt(t))
+        ts = t * (1.0 + later * np.linspace(0.0, 1.0, 5))
+        prices = chain_prices(model, 100.0, ts, rate, strike)
+        assert np.all(np.diff(prices) >= -PRICE_TOL)
 
 
 class TestCallPrice:

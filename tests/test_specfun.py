@@ -9,7 +9,8 @@ from scipy.stats import ncx2
 
 from msfcev.errors import DomainError
 from msfcev.pricing import MarketEnv, ModelSpec, cev_intermediates
-from msfcev.specfun import bessel_i_scaled, chi2_noncentral_sf_cdf, log_gamma
+from msfcev.specfun import (_tail_quadrature, bessel_i_scaled,
+                            chi2_noncentral_sf_cdf, log_gamma)
 
 
 def brute_bessel_series(order, z, terms=3000):
@@ -205,12 +206,12 @@ def ncx2_quadrature_oracle(x, df, nc):
 
 class TestChi2Noncentral:
     def test_examples(self):
-        assert chi2_noncentral_sf_cdf(0.0, 2.0, 5.0)[0] == 1.0
-        assert chi2_noncentral_sf_cdf(2.0, 2.0, 0.0)[0] == pytest.approx(
+        assert chi2_noncentral_sf_cdf(0.0, 2.0, 5.0, upper=True) == 1.0
+        assert chi2_noncentral_sf_cdf(2.0, 2.0, 0.0, upper=True) == pytest.approx(
             math.exp(-1.0), rel=1e-13)
         oracle = ncx2_quadrature_oracle(4.0, 3.0, 2.0)
-        assert chi2_noncentral_sf_cdf(4.0, 3.0, 2.0)[0] == pytest.approx(oracle,
-                                                                  abs=1e-12)
+        assert chi2_noncentral_sf_cdf(4.0, 3.0, 2.0, upper=True) == pytest.approx(
+            oracle, abs=1e-12)
 
     @pytest.mark.parametrize("x,df,nc", [
         (0.5, 2.0, 5.0), (4.0, 3.0, 2.0), (10.0, 1.0, 1.0),
@@ -218,48 +219,53 @@ class TestChi2Noncentral:
         (1500.0, 7.0, 1400.0), (250.0, 2002.0, 10.0), (5000.0, 3.0, 5000.0),
     ])
     def test_absolute_accuracy_vs_scipy(self, x, df, nc):
-        sf, cdf = chi2_noncentral_sf_cdf(x, df, nc)
+        sf = chi2_noncentral_sf_cdf(x, df, nc, upper=True)
+        cdf = chi2_noncentral_sf_cdf(x, df, nc, upper=False)
         assert abs(sf - ncx2.sf(x, df, nc)) <= 1e-12
         assert abs(cdf - ncx2.cdf(x, df, nc)) <= 1e-12
 
     def test_deep_tails_keep_relative_accuracy(self):
         # the direct cdf mixture must not degrade to 1 - (1 - tiny)
-        val = chi2_noncentral_sf_cdf(1.0, 1.0, 100.0)[1]
+        val = chi2_noncentral_sf_cdf(1.0, 1.0, 100.0, upper=False)
         assert val == pytest.approx(float(ncx2.cdf(1.0, 1.0, 100.0)), rel=1e-9)
-        val = chi2_noncentral_sf_cdf(300.0, 2.0, 60.0)[0]
+        val = chi2_noncentral_sf_cdf(300.0, 2.0, 60.0, upper=True)
         assert val == pytest.approx(float(ncx2.sf(300.0, 2.0, 60.0)), rel=1e-9)
 
     def test_monotonicity_grids(self):
         xs = np.linspace(0.0, 60.0, 25)
         for df in (1.0, 2.0, 7.5):
             for nc in (0.0, 2.0, 20.0):
-                vals = [chi2_noncentral_sf_cdf(float(x), df, nc)[0] for x in xs]
+                vals = [chi2_noncentral_sf_cdf(float(x), df, nc, upper=True)
+                        for x in xs]
                 assert vals[0] == 1.0
                 assert all(a >= b - 1e-14 for a, b in zip(vals, vals[1:]))
         ncs = np.linspace(0.0, 40.0, 17)
         for x in (5.0, 15.0):
-            vals = [chi2_noncentral_sf_cdf(x, 3.0, float(nc))[0] for nc in ncs]
+            vals = [chi2_noncentral_sf_cdf(x, 3.0, float(nc), upper=True)
+                    for nc in ncs]
             assert all(b >= a - 1e-14 for a, b in zip(vals, vals[1:]))
 
     def test_limit_at_large_x(self):
-        assert chi2_noncentral_sf_cdf(1e4, 3.0, 5.0)[0] < 1e-300
+        assert chi2_noncentral_sf_cdf(1e4, 3.0, 5.0, upper=True) < 1e-300
 
     def test_sf_cdf_complement(self):
         for x, df, nc in ((4.0, 3.0, 2.0), (30.0, 4.0, 20.0), (2.0, 1.5, 9.0)):
-            sf, cdf = chi2_noncentral_sf_cdf(x, df, nc)
-            total = sf + cdf
+            total = (chi2_noncentral_sf_cdf(x, df, nc, upper=True)
+                     + chi2_noncentral_sf_cdf(x, df, nc, upper=False))
             assert total == pytest.approx(1.0, abs=5e-13)
 
     def test_batch_matches_scalar(self):
         xs = np.array([1.0, 5.0, 25.0, 80.0])
-        sf, cdf = chi2_noncentral_sf_cdf(xs, 3.0, 12.0)
+        sf = chi2_noncentral_sf_cdf(xs, 3.0, 12.0, upper=True)
         for i, x in enumerate(xs):
             assert sf[i] == pytest.approx(
-                chi2_noncentral_sf_cdf(float(x), 3.0, 12.0)[0], abs=1e-13)
+                chi2_noncentral_sf_cdf(float(x), 3.0, 12.0, upper=True), abs=1e-13)
         ncs = np.array([2.0, 12.0, 90.0, 400.0])
-        sf, cdf = chi2_noncentral_sf_cdf(30.0, 3.0, ncs)
+        sf = chi2_noncentral_sf_cdf(30.0, 3.0, ncs, upper=True)
+        cdf = chi2_noncentral_sf_cdf(30.0, 3.0, ncs, upper=False)
         for i, nc in enumerate(ncs):
-            one_sf, one_cdf = chi2_noncentral_sf_cdf(30.0, 3.0, float(nc))
+            one_sf = chi2_noncentral_sf_cdf(30.0, 3.0, float(nc), upper=True)
+            one_cdf = chi2_noncentral_sf_cdf(30.0, 3.0, float(nc), upper=False)
             assert sf[i] == pytest.approx(one_sf, abs=5e-13)
             assert cdf[i] == pytest.approx(one_cdf, abs=5e-13)
 
@@ -268,21 +274,90 @@ class TestChi2Noncentral:
         xs = np.array([0.0, 2.0, 30.0, 400.0])
         dfs = np.array([1.0, 3.0, 2.0 / 0.8, 2002.0])
         ncs = np.array([5.0, 0.0, 90.0, 350.0])
-        sf, cdf = chi2_noncentral_sf_cdf(xs, dfs, ncs)
-        for i in range(xs.size):
-            args = (float(xs[i]), float(dfs[i]), float(ncs[i]))
-            assert (sf[i], cdf[i]) == chi2_noncentral_sf_cdf(*args)
-        sf, cdf = chi2_noncentral_sf_cdf(10.0, dfs[:, None], ncs[None, :])
-        assert sf.shape == cdf.shape == (4, 4)
-        for i, df in enumerate(dfs):
-            for j, nc in enumerate(ncs):
-                assert (sf[i, j], cdf[i, j]) == chi2_noncentral_sf_cdf(
-                    10.0, float(df), float(nc))
+        for upper in (True, False):
+            tail = chi2_noncentral_sf_cdf(xs, dfs, ncs, upper=upper)
+            for i in range(xs.size):
+                args = (float(xs[i]), float(dfs[i]), float(ncs[i]))
+                assert tail[i] == chi2_noncentral_sf_cdf(*args, upper=upper)
+            tail = chi2_noncentral_sf_cdf(10.0, dfs[:, None], ncs[None, :],
+                                          upper=upper)
+            assert tail.shape == (4, 4)
+            for i, df in enumerate(dfs):
+                for j, nc in enumerate(ncs):
+                    assert tail[i, j] == chi2_noncentral_sf_cdf(
+                        10.0, float(df), float(nc), upper=upper)
         with pytest.raises(DomainError):
-            chi2_noncentral_sf_cdf(xs, np.array([1.0, 1.0, 0.0, 1.0]), ncs)
+            chi2_noncentral_sf_cdf(xs, np.array([1.0, 1.0, 0.0, 1.0]), ncs,
+                                   upper=True)
+
+    def test_mixed_tails_match_single_tail_calls_bit_for_bit(self):
+        # each point takes the tail its mask names, and the same bits as a
+        # call that asks every point for that tail; the x = 0 and nc = 0
+        # edges sit on both sides of the mask
+        xs = np.array([0.0, 0.0, 2.0, 2.0, 30.0, 400.0, 1e3, 5.0, 0.3])
+        dfs = np.array([3.0, 1.0, 3.0, 2.5, 2.0, 2002.0, 4.0, 1.5, 0.5])
+        ncs = np.array([2.0, 0.0, 0.0, 9.0, 90.0, 350.0, 1e3, 0.0, 7.0])
+        upper = np.array([True, False, True, False, True, False, False, True,
+                          False])
+        sf = chi2_noncentral_sf_cdf(xs, dfs, ncs, upper=True)
+        cdf = chi2_noncentral_sf_cdf(xs, dfs, ncs, upper=False)
+        mixed = chi2_noncentral_sf_cdf(xs, dfs, ncs, upper=upper)
+        np.testing.assert_array_equal(mixed, np.where(upper, sf, cdf))
+        # the mask broadcasts like the other arguments
+        grid = chi2_noncentral_sf_cdf(xs[:, None], 3.0, 12.0,
+                                      upper=np.array([True, False]))
+        assert grid.shape == (xs.size, 2)
+        np.testing.assert_array_equal(
+            grid[:, 0], chi2_noncentral_sf_cdf(xs, 3.0, 12.0, upper=True))
+        np.testing.assert_array_equal(
+            grid[:, 1], chi2_noncentral_sf_cdf(xs, 3.0, 12.0, upper=False))
+
+    # (x, df, nc, upper, tail): 30-digit mpmath quadrature of the density in
+    # x, a breakpoint at every standard deviation.  Above nc = 1e9 Boost's
+    # series stops at its iteration cap and both kernels lose digits (the
+    # third row's sf is 3.4e-4 off, the sixth's 7.4e-8)
+    LARGE_NC = [
+        (29997921542.030865, 3.0, 3e10, False, 9.8597392480128234e-10),
+        (30000000003.0, 3.0, 3e10, True, 0.49999884835283514),
+        (30002771284.29218, 3.0, 3e10, True, 6.2301551630371891e-16),
+        (1499924542.3072302, 2002.0, 1.5e9, False, 0.15865525389139947),
+        (1500156921.3855398, 2002.0, 1.5e9, True, 0.022752222963120529),
+        (1500621679.5421588, 2002.0, 1.5e9, True, 6.2621773711408163e-16),
+        (29999307180.676968, 1.0, 3e10, False, 0.022749664370591165),
+        (30001732051.807583, 1.0, 3e10, True, 2.8675458963687872e-7),
+    ]
+
+    def test_large_noncentrality_matches_mpmath(self):
+        xs, dfs, ncs, uppers, refs = (np.array(v) for v in zip(*self.LARGE_NC))
+        for x, df, nc, upper, ref in self.LARGE_NC:
+            got = chi2_noncentral_sf_cdf(x, df, nc, upper=upper)
+            assert got == pytest.approx(ref, rel=1e-13)
+            other = chi2_noncentral_sf_cdf(x, df, nc, upper=not upper)
+            assert got + other == pytest.approx(1.0, abs=1e-15)
+        batch = chi2_noncentral_sf_cdf(xs, dfs, ncs, upper=uppers)
+        np.testing.assert_allclose(batch, refs, rtol=1e-13)
+        # the edge at x = 0 holds on this side of nc = 1e9 too
+        assert chi2_noncentral_sf_cdf(0.0, 3.0, 3e10, upper=True) == 1.0
+        assert chi2_noncentral_sf_cdf(0.0, 3.0, 3e10, upper=False) == 0.0
+
+    def test_quadrature_meets_kernels_below_large_noncentrality(self):
+        # where the kernels still converge, the density quadrature that takes
+        # over above nc = 1e9 agrees with them within a standard deviation or
+        # three of the mean, so the hand-off does not jump
+        for df in (3.0, 2002.0):
+            for nc in (1e6, 1e8, 1e9):
+                sd = math.sqrt(2.0 * (df + 2.0 * nc))
+                xs = df + nc + sd * np.array([-3.0, -1.0, 0.0, 1.0, 3.0])
+                for upper in (True, False):
+                    quad = _tail_quadrature(xs, np.full(5, df), np.full(5, nc),
+                                            np.full(5, upper))
+                    np.testing.assert_allclose(
+                        quad, chi2_noncentral_sf_cdf(xs, df, nc, upper=upper),
+                        rtol=1e-11)
 
     def test_scalar_api_returns_floats(self):
-        sf, cdf = chi2_noncentral_sf_cdf(4.0, 3.0, 2.0)
+        sf = chi2_noncentral_sf_cdf(4.0, 3.0, 2.0, upper=True)
+        cdf = chi2_noncentral_sf_cdf(4.0, 3.0, 2.0, upper=False)
         assert isinstance(sf, float) and isinstance(cdf, float)
 
     def test_ufunc_route_matches_stats_bit_for_bit(self, mpmath_table_rows):
@@ -308,15 +383,16 @@ class TestChi2Noncentral:
             xs.append(x)
             dfs.append(df)
             ncs.append(nc)
-            assert chi2_noncentral_sf_cdf(x, df, nc)[0] == float(ncx2.sf(x, df, nc))
+            assert chi2_noncentral_sf_cdf(x, df, nc, upper=True) == float(
+                ncx2.sf(x, df, nc))
         xs, dfs, ncs = np.array(xs), np.array(dfs), np.array(ncs)
-        sf, _ = chi2_noncentral_sf_cdf(xs, dfs, ncs)
+        sf = chi2_noncentral_sf_cdf(xs, dfs, ncs, upper=True)
         np.testing.assert_array_equal(sf, ncx2.sf(xs, dfs, ncs))
 
     def test_errors(self):
         with pytest.raises(DomainError):
-            chi2_noncentral_sf_cdf(-1.0, 3.0, 2.0)
+            chi2_noncentral_sf_cdf(-1.0, 3.0, 2.0, upper=True)
         with pytest.raises(DomainError):
-            chi2_noncentral_sf_cdf(1.0, 0.0, 2.0)
+            chi2_noncentral_sf_cdf(1.0, 0.0, 2.0, upper=False)
         with pytest.raises(DomainError):
-            chi2_noncentral_sf_cdf(1.0, 3.0, -2.0)
+            chi2_noncentral_sf_cdf(1.0, 3.0, -2.0, upper=True)
