@@ -14,8 +14,10 @@ import sys
 
 import numpy as np
 
-from . import calibrate as cal
-from . import pricing, process, verify
+# calibrate and verify load scipy.optimize (verify through scipy.integrate),
+# which price, curve and simulate never use: the commands that need them
+# import them
+from . import pricing, process
 from .errors import (CalibrationError, ChainFormatError, DomainError,
                      NumericalError)
 
@@ -71,6 +73,8 @@ def _cmd_price(args) -> int:
 
 
 def _cmd_density(args) -> int:
+    from . import verify
+
     model = _build_model(args)
     env = pricing.MarketEnv(rate=args.rate, spot=args.spot)
     s_max = args.s_max if args.s_max is not None else 3.0 * args.spot * math.exp(
@@ -118,6 +122,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+
     model = _build_model(args)
     env = pricing.MarketEnv(rate=args.rate, spot=args.spot)
     for name in verify.skipped_checks(model, with_mc=args.with_mc,
@@ -142,6 +148,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    from . import calibrate as cal
+
     chain = cal.load_chain(args.input, moneyness_filter=args.filter_moneyness)
     cfg = cal.OptimizerConfig(n_starts=args.starts, seed=args.seed,
                               maxiter=args.maxiter)
@@ -156,6 +164,8 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from . import calibrate as cal
+
     chain = cal.load_chain(args.input, moneyness_filter=args.filter_moneyness)
     catalog = [m.strip() for m in args.models.split(",") if m.strip()]
     cfg = cal.OptimizerConfig(n_starts=args.starts, seed=args.seed,

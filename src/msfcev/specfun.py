@@ -14,8 +14,10 @@ evaluate through scipy's vectorised ufuncs: ``scipy.special.ive`` (Amos)
 for Bessel I, and for the chi-squared tails Boost's survival function
 (``scipy.special._ufuncs._ncx2_sf``, the kernel under
 ``scipy.stats.ncx2.sf``) and ``scipy.special.chndtr``, each of which keeps
-relative accuracy in its own tail.  The Kummer functions of the effective
-variance come from ``scipy.special.hyp1f1`` in :mod:`msfcev.pricing`.
+relative accuracy in its own tail; above a non-centrality of 1e5 both
+tails are a Gauss-Legendre quadrature of the density.  The Kummer functions
+of the effective variance come from ``scipy.special.hyp1f1`` in
+:mod:`msfcev.pricing`.
 
 Everything here is pure and reentrant.
 """
@@ -123,10 +125,12 @@ def _ive_hankel(order: np.ndarray, z: np.ndarray) -> np.ndarray:
 # Non-central chi-squared survival / distribution functions
 # ---------------------------------------------------------------------------
 
-# Above this non-centrality the Poisson series behind both kernels needs more
-# terms than Boost's iteration cap allows, and their tails lose digits;
-# _tail_quadrature takes both tails over there.
-_SERIES_NC_MAX = 1e9
+# Above this non-centrality _tail_quadrature takes both tails.  The Poisson
+# series behind both kernels costs time growing with sqrt(nc) and loses
+# digits: 5e-12 at 8 sd from the mean at nc 1e5, 1e-8 at nc 1.4e8, and past
+# 1e9 Boost stops at its iteration cap.  The quadrature's cost does not grow
+# with nc, and from nc 1e5 up it stays within 6e-14 of mpmath.
+_SERIES_NC_MAX = 1e5
 
 # composite Gauss-Legendre rule on [0, 1]: four panels of 16 nodes
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -145,10 +149,10 @@ def chi2_noncentral_sf_cdf(x, df, noncentrality, upper):
     relative accuracy.  Two edges follow ``scipy.stats.ncx2.sf``, bit for
     bit: the survival function is 1 at x = 0 (where Boost returns -0.0),
     and at nc = 0 it is the central ``chdtrc`` (Boost's non-central tail is
-    an ulp off there).  Above nc = 1e9, where Boost's series runs past its
-    iteration cap and ``chndtr`` loses digits, either tail is a quadrature
-    of the density (:func:`_tail_quadrature`).  Returns an array (a float
-    when every argument is scalar).
+    an ulp off there).  Above nc = 1e5, where both series grow slow and
+    inexact, either tail is a quadrature of the density
+    (:func:`_tail_quadrature`).  Returns an array (a float when every
+    argument is scalar).
     """
     x = _checked(x, _finite_non_negative,
                  "chi-squared argument must be finite and >= 0")
@@ -182,26 +186,40 @@ def _tail_quadrature(x, df, nc, upper):
 
         u (u/c)^nu exp(-(u - c)^2 / 2) ive(nu, u c),  c = sqrt(nc), nu = df/2 - 1,
 
-    close to a unit normal about c once nc is large.  The tail on the far
-    side of sqrt(x) from c is integrated by the composite Gauss-Legendre
-    rule over the span in which exp(-(d + v)^2 / 2) falls by e^-40 from
-    its value at v = 0, d = |sqrt(x) - c|; the other tail is one minus it.
-    Below df = 2 the order is negative; ive(-nu, z) differs from ive(nu, z)
-    by a term in exp(-2z), and z = u c stays above ~nc at every node that
-    counts.
+    close to a unit normal about sqrt(nc + df), the root of the mean, once
+    nc is large.  The tail on the far side of sqrt(x) from that centre is
+    integrated by the composite Gauss-Legendre rule over the span in which
+    exp(-(d + v)^2 / 2) falls by e^-40 from its value at v = 0, d the
+    distance of sqrt(x) from the centre; the other tail is one minus it.
+    The Bessel factor at the nodes is Hankel's expansion, 2-7 times as
+    fast as ``ive`` at z 1e5-1e8, wherever its first term ratio
+    4 nu^2 / 8z is at most 1, so that its terms only fall (there it is
+    within 3e-16 of 30-digit mpmath at orders 99 and 1000);
+    :func:`bessel_i_scaled` takes the other nodes and any where the
+    expansion does not converge.  Below df = 2 the order is negative;
+    ive(-nu, z) differs from ive(nu, z) by a term in exp(-2z), and z = u c
+    stays above ~nc at every node that counts.
     """
-    root_x, c = np.sqrt(x), np.sqrt(nc)
-    gap = (x - nc) / (root_x + c)  # sqrt(x) - c without the cancellation
-    above = gap >= 0.0
-    span = np.sqrt(gap * gap + 80.0) - np.abs(gap)
+    root_x, c, centre = np.sqrt(x), np.sqrt(nc), np.sqrt(nc + df)
+    d = (x - (nc + df)) / (root_x + centre)  # sqrt(x) - centre, no cancellation
+    above = d >= 0.0
+    span = np.sqrt(d * d + 80.0) - np.abs(d)
     span = np.where(above, span, np.minimum(span, root_x))
+    gap = (x - nc) / (root_x + c)  # sqrt(x) - c
     offset = gap[:, None] + np.where(above, 1.0, -1.0)[:, None] * (
         span[:, None] * _TAIL_NODES)  # u - c at every node
     nu = 0.5 * df[:, None] - 1.0
     with np.errstate(divide="ignore", invalid="ignore"):  # x = 0: empty span
         log_f = (np.log(c[:, None] + offset) + nu * np.log1p(offset / c[:, None])
                  - 0.5 * offset ** 2)
-        f = np.exp(log_f) * bessel_i_scaled(np.abs(nu),
-                                            c[:, None] * (c[:, None] + offset))
+        order = np.broadcast_to(np.abs(nu), offset.shape)
+        z = c[:, None] * (c[:, None] + offset)
+        hankel = order * order <= 2.0 * z  # first term ratio 4 nu^2 / 8z <= 1
+        bessel = np.full(z.shape, np.nan)
+        bessel[hankel] = _ive_hankel(order[hankel], z[hankel])
+        slow = np.isnan(bessel)
+        if slow.any():  # at x = 0 every node is u = 0, which can round below
+            bessel[slow] = bessel_i_scaled(order[slow], np.maximum(z[slow], 0.0))
+        f = np.exp(log_f) * bessel
         tail = np.where(span > 0.0, span * (f @ _TAIL_WEIGHTS), 0.0)
     return np.where(above == upper, tail, 1.0 - tail)

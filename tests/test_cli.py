@@ -229,14 +229,23 @@ class TestVerifyCommand:
 
 
 class TestColdStart:
-    def test_cli_import_leaves_scipy_stats_out(self):
+    @staticmethod
+    def loaded_by_cli_import(*modules):
+        """The ``modules`` that a fresh interpreter has after ``import msfcev.cli``."""
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-        code = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, msfcev.cli; sys.exit('scipy.stats' in sys.modules)"],
-            env=env, timeout=60).returncode
-        assert code == 0
+        code = (f"import sys, msfcev.cli; "
+                f"print(*[m for m in {modules!r} if m in sys.modules])")
+        return subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                              capture_output=True, text=True,
+                              check=True).stdout.split()
+
+    def test_cli_import_leaves_scipy_stats_out(self):
+        assert self.loaded_by_cli_import("scipy.stats") == []
+
+    def test_cli_import_leaves_calibrate_out(self):
+        # only the commands that fit or run the oracles need scipy.optimize
+        assert self.loaded_by_cli_import("msfcev.calibrate", "scipy.optimize") == []
 
 
 class TestCalibrateCommand:

@@ -4,12 +4,13 @@ import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import gammaln, hyp1f1, ive
+from scipy.special import chndtr, gammaln, hyp1f1, ive
+from scipy.special._ufuncs import _ncx2_sf
 from scipy.stats import ncx2
 
 from msfcev.errors import DomainError
 from msfcev.pricing import MarketEnv, ModelSpec, cev_intermediates
-from msfcev.specfun import (_tail_quadrature, bessel_i_scaled,
+from msfcev.specfun import (_SERIES_NC_MAX, _tail_quadrature, bessel_i_scaled,
                             chi2_noncentral_sf_cdf, log_gamma)
 
 
@@ -336,24 +337,66 @@ class TestChi2Noncentral:
             assert got + other == pytest.approx(1.0, abs=1e-15)
         batch = chi2_noncentral_sf_cdf(xs, dfs, ncs, upper=uppers)
         np.testing.assert_allclose(batch, refs, rtol=1e-13)
-        # the edge at x = 0 holds on this side of nc = 1e9 too
-        assert chi2_noncentral_sf_cdf(0.0, 3.0, 3e10, upper=True) == 1.0
-        assert chi2_noncentral_sf_cdf(0.0, 3.0, 3e10, upper=False) == 0.0
+        # the edge at x = 0 holds above the series' range too, also where
+        # nc / sqrt(nc) rounds above sqrt(nc) and the empty span's node
+        # lands an ulp below u = 0 (at nc 3.8e9 that raised DomainError)
+        for nc in (3e5, 3806483068.094369, 3e10):
+            assert chi2_noncentral_sf_cdf(0.0, 3.0, nc, upper=True) == 1.0
+            assert chi2_noncentral_sf_cdf(0.0, 3.0, nc, upper=False) == 0.0
+
+    # (x, df, nc, upper, tail) 3 and 8 sd either side of the mean, at and
+    # just above the hand-off to the quadrature at nc = 1e5: 40-digit mpmath
+    # quadrature of the density in u = sqrt(x), a breakpoint at every unit.
+    # Centred on sqrt(nc) instead of the mean's root sqrt(nc + df), the
+    # quadrature integrated the wrong tail of the fourth df-2002 row (at x
+    # 3 sd below the mean) and was 2.2e-6 off
+    HAND_OFF = [
+        (95139.80126822345, 202.0, 1e5, False, 2.69989562442136120752417499678e-16),
+        (98303.6754755838, 202.0, 1e5, False, 0.00129438679326861899587797211097),
+        (102100.3245244162, 202.0, 1e5, True, 0.00140640488822856447176379290909),
+        (105264.19873177655, 202.0, 1e5, True, 1.36211371870435757393216689571e-15),
+        (291436.9640046375, 202.0, 3e5, False, 3.86634630424186175354935305553e-16),
+        (296915.11150173907, 202.0, 3e5, False, 0.00131770810462363604370628067386),
+        (303488.88849826093, 202.0, 3e5, True, 0.00138242017514974896083557176496),
+        (308967.0359953625, 202.0, 3e5, True, 9.8407219969228669227520991036e-16),
+        (96917.09528112866, 2002.0, 1e5, False, 2.71730431533206144297754818036e-16),
+        (100095.16073042325, 2002.0, 1e5, False, 0.00129479558053625150998433568361),
+        (103908.83926957675, 2002.0, 1e5, True, 0.00140598254393568627106103630098),
+        (107086.90471887134, 2002.0, 1e5, True, 1.35448853992902905674312331524e-15),
+        (293223.83071477886, 2002.0, 3e5, False, 3.87102844043989427833007495747e-16),
+        (298710.18651804206, 2002.0, 3e5, False, 0.00131778794295752191279014198244),
+        (305293.81348195794, 2002.0, 3e5, True, 0.00138233881544312046246725245169),
+        (310780.16928522114, 2002.0, 3e5, True, 9.82971609505535853392331054599e-16),
+    ]
+
+    def test_hand_off_matches_mpmath(self):
+        xs, dfs, ncs, uppers, refs = (np.array(v) for v in zip(*self.HAND_OFF))
+        np.testing.assert_allclose(_tail_quadrature(xs, dfs, ncs, uppers), refs,
+                                   rtol=1e-13)
+        np.testing.assert_allclose(
+            _tail_quadrature(xs, dfs, ncs, ~uppers), 1.0 - refs, rtol=1e-15)
+        # above the switch the public route is the quadrature; at nc = 1e5
+        # it is still the series, whose 8-sd tails are 5e-12 off there
+        public = chi2_noncentral_sf_cdf(xs, dfs, ncs, upper=uppers)
+        above = ncs > _SERIES_NC_MAX
+        assert above.any() and not above.all()
+        np.testing.assert_allclose(public[above], refs[above], rtol=1e-13)
+        np.testing.assert_allclose(public[~above], refs[~above], rtol=1e-11)
 
     def test_quadrature_meets_kernels_below_large_noncentrality(self):
-        # where the kernels still converge, the density quadrature that takes
-        # over above nc = 1e9 agrees with them within a standard deviation or
-        # three of the mean, so the hand-off does not jump
+        # where the series kernels still converge, the density quadrature
+        # that takes over above nc = 1e5 agrees with them within a standard
+        # deviation or three of the mean, so the hand-off does not jump
         for df in (3.0, 2002.0):
-            for nc in (1e6, 1e8, 1e9):
+            for nc in (1e5, 3e5, 1e6):
                 sd = math.sqrt(2.0 * (df + 2.0 * nc))
                 xs = df + nc + sd * np.array([-3.0, -1.0, 0.0, 1.0, 3.0])
-                for upper in (True, False):
-                    quad = _tail_quadrature(xs, np.full(5, df), np.full(5, nc),
+                ones = np.ones(5)
+                for upper, kernel in ((True, _ncx2_sf), (False, chndtr)):
+                    quad = _tail_quadrature(xs, df * ones, nc * ones,
                                             np.full(5, upper))
-                    np.testing.assert_allclose(
-                        quad, chi2_noncentral_sf_cdf(xs, df, nc, upper=upper),
-                        rtol=1e-11)
+                    np.testing.assert_allclose(quad, kernel(xs, df, nc),
+                                               rtol=1e-11)
 
     def test_scalar_api_returns_floats(self):
         sf = chi2_noncentral_sf_cdf(4.0, 3.0, 2.0, upper=True)
@@ -363,8 +406,10 @@ class TestChi2Noncentral:
     def test_ufunc_route_matches_stats_bit_for_bit(self, mpmath_table_rows):
         # the survival function calls Boost's ufunc under scipy.stats.ncx2.sf
         # directly; pin it to ncx2.sf on the arguments that pricing builds
-        # for every row of the 80-digit table, and on the x = 0 and nc = 0
-        # edges where the bare ufunc differs from ncx2.sf
+        # for every row of the 80-digit table that the series takes, and on
+        # the x = 0 and nc = 0 edges where the bare ufunc differs from
+        # ncx2.sf.  The table's arguments above the switch go through the
+        # density quadrature, whose prices TestTailChoice holds to the table
         xs, dfs, ncs = [], [], []
         for row in mpmath_table_rows:
             m = ModelSpec.make(row["model"], sigma=float(row["sigma"]),
@@ -386,6 +431,9 @@ class TestChi2Noncentral:
             assert chi2_noncentral_sf_cdf(x, df, nc, upper=True) == float(
                 ncx2.sf(x, df, nc))
         xs, dfs, ncs = np.array(xs), np.array(dfs), np.array(ncs)
+        series = ncs <= _SERIES_NC_MAX
+        assert not series.all()
+        xs, dfs, ncs = xs[series], dfs[series], ncs[series]
         sf = chi2_noncentral_sf_cdf(xs, dfs, ncs, upper=True)
         np.testing.assert_array_equal(sf, ncx2.sf(xs, dfs, ncs))
 
