@@ -33,9 +33,10 @@ from scipy import integrate
 from scipy.linalg.lapack import dgtsv
 
 from .errors import DomainError, NumericalError
-from .pricing import (Driver, Family, MarketEnv, ModelSpec, call_price,
-                      cev_intermediates, diffusion_kernel, driver_variance,
-                      effective_variance, transition_density)
+from .pricing import (Driver, Family, MarketEnv, ModelSpec, _density,
+                      _subfractional_weight, call_price, cev_intermediates,
+                      diffusion_kernel, driver_variance, effective_variance,
+                      transition_density)
 from .process import block_rng
 
 __all__ = [
@@ -151,9 +152,11 @@ def solve_fpe(model: ModelSpec, env: MarketEnv, maturity: float,
 
     The interior operator is affine in D: L(t) = D(t) A + R, with the
     diffusion and the c-advection in A and the r-advection in R.  Both are
-    built once, so a step forms its tridiagonal from D at the new time,
-    reuses it as the next step's explicit operator, and solves it with one
-    LAPACK ``gtsv`` call.
+    built once, so a step forms its tridiagonal from D at the new time in
+    place and solves it with one LAPACK ``gtsv`` call.  With M_n the step
+    operator at D(t_n), the next right-hand side comes from the last solve:
+    (I - M_n) u_n = 2 u_n - (I + M_n) u_n = 2 u_n - rhs_n, so only the first
+    step forms an explicit tridiagonal product.
     """
     if model.family != Family.CEV:
         raise DomainError("the forward-equation oracle covers the CEV family only")
@@ -191,9 +194,6 @@ def solve_fpe(model: ModelSpec, env: MarketEnv, maturity: float,
     r_lo = scale * r2a * xi[:-1] / (2.0 * h)
     r_up = -scale * r2a * xi[1:] / (2.0 * h)
 
-    def bands(dk: float):
-        return dk * a_di, dk * a_lo + r_lo, dk * a_up + r_up
-
     x_1, x_n = float(xi[0]), float(xi[-1])
 
     def outflow(u: np.ndarray, dk: float) -> float:
@@ -208,17 +208,24 @@ def solve_fpe(model: ModelSpec, env: MarketEnv, maturity: float,
     dens /= np.trapezoid(dens, dx=h)
 
     u = dens[1:-1]
-    di, lo, up = bands(d[0])
+    di, lo, up = d[0] * a_di, d[0] * a_lo + r_lo, d[0] * a_up + r_up
+    rhs = u - di * u
+    rhs[:-1] -= up * u[1:]
+    rhs[1:] -= lo * u[:-1]
     out_now = outflow(u, d[0])
     absorbed = 0.0
     drift_max = 0.0
     for step in range(1, grid.n_time + 1):
-        rhs = u - di * u
-        rhs[:-1] -= up * u[1:]
-        rhs[1:] -= lo * u[:-1]
-        di, lo, up = bands(d[step])
-        _, _, _, u, info = dgtsv(lo, 1.0 + di, up, rhs,
-                                 overwrite_d=1, overwrite_b=1)
+        prev = rhs.copy()
+        # gtsv overwrites all four arrays, so the bands are rebuilt each step
+        np.multiply(a_di, d[step], out=di)
+        di += 1.0
+        np.multiply(a_lo, d[step], out=lo)
+        lo += r_lo
+        np.multiply(a_up, d[step], out=up)
+        up += r_up
+        _, _, _, u, info = dgtsv(lo, di, up, rhs, overwrite_dl=1, overwrite_d=1,
+                                 overwrite_du=1, overwrite_b=1)
         if info != 0:
             raise NumericalError(
                 f"tridiagonal solve failed at step {step} (LAPACK info {info})")
@@ -232,6 +239,7 @@ def solve_fpe(model: ModelSpec, env: MarketEnv, maturity: float,
             raise NumericalError(
                 f"mass conservation drifted to {drift:.3e} at step {step}; "
                 "refine the grid or widen the x range")
+        rhs = 2.0 * u - prev
     dens = np.concatenate(([0.0], u, [0.0]))
     s = np.zeros_like(x)
     np.power(x, 1.0 / (2.0 - a), out=s, where=x > 0.0)
@@ -335,12 +343,19 @@ def effective_variance_quadrature(model: ModelSpec, env: MarketEnv,
     p = model.driver_params
     a = model.alpha
     c = (2.0 - a) * env.rate
+    # diffusion_kernel(driver, H, t) = H t^(2H-1) w_H, its checks and
+    # constants hoisted out of the integrand: the model has validated H, and
+    # T - u >= 0 on [0, T]
+    kern = 0.5 * p.beta ** 2
+    mixed = p.gamma != 0.0 and model.driver != Driver.CLASSICAL
+    gamma2, hurst = p.gamma ** 2, p.hurst
+    power = 2.0 * hurst - 1.0
+    weight = _subfractional_weight(model.driver, hurst)
 
     def integrand(u: float) -> float:
-        kern = 0.5 * p.beta ** 2
-        if p.gamma != 0.0 and model.driver != Driver.CLASSICAL:
-            kern += p.gamma ** 2 * diffusion_kernel(model.driver, p.hurst,
-                                                    maturity - u)
+        if mixed:
+            return ((kern + gamma2 * (hurst * (maturity - u) ** power * weight))
+                    * math.exp(c * u))
         return kern * math.exp(c * u)
 
     value, _ = integrate.quad(integrand, 0.0, maturity,
@@ -365,8 +380,12 @@ def quadrature_price(model: ModelSpec, env: MarketEnv, maturity: float,
     if s_hi <= strike:
         return 0.0
 
+    # transition_density's formula on plain floats: Phi and the chi-squared
+    # coordinates once per call, not once per node
+    k_s, y_s, power = ints.k_s, ints.y_s, 2.0 - a
+
     def integrand(s_t: float) -> float:
-        return (s_t - strike) * transition_density(model, env, maturity, s_t)
+        return (s_t - strike) * _density(a, k_s, y_s, k_s * s_t ** power)
 
     mode = env.spot * math.exp(env.rate * maturity)
     pts = [p for p in (mode,) if strike < p < s_hi]
