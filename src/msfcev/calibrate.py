@@ -297,29 +297,20 @@ def _residuals(model_name: str, names, vector, quotes: _Quotes) -> np.ndarray:
                         quotes.strikes) - quotes.mids
 
 
-def _objective(model_name: str, names, vector, quotes: _Quotes) -> float:
-    values = dict(zip(names, vector))
-    for name, val in values.items():
-        lo, hi = PARAM_BOUNDS[name]
-        if not lo <= val <= hi:
-            return math.inf
-    try:
-        res = _residuals(model_name, names, vector, quotes)
-        return float(np.sum(res ** 2)) / res.size
-    except (DomainError, FloatingPointError) as exc:
-        log.warning("objective rejected %s at %s: %s", model_name, values, exc)
-        return math.inf
-
-
 def mse_objective(model_name: str, params, chain: OptionChain) -> float:
-    """Mean squared error of the model against the chain's mid prices."""
+    """Mean squared error of the model against the chain's mid prices.
+
+    Parameters the model rejects raise ``DomainError``; the fit box
+    ``PARAM_BOUNDS`` is not enforced here.
+    """
     names = free_parameters(model_name)
     vector = np.asarray(params, dtype=float)
     if vector.shape != (len(names),):
         raise DomainError(
             f"{model_name} takes parameters {names}, got vector of "
             f"shape {vector.shape}")
-    return _objective(model_name, names, vector, _quote_arrays(chain.quotes))
+    res = _residuals(model_name, names, vector, _quote_arrays(chain.quotes))
+    return float(np.sum(res ** 2)) / res.size
 
 
 # ---------------------------------------------------------------------------

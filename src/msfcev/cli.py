@@ -8,6 +8,7 @@ Randomized commands require --seed and are reproducible bit for bit.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -15,8 +16,8 @@ import sys
 import numpy as np
 
 # calibrate and verify load scipy.optimize (verify through scipy.integrate),
-# which price, curve and simulate never use: the commands that need them
-# import them
+# which price, density, curve and simulate never use: the commands that need
+# them import them
 from . import pricing, process
 from .errors import (CalibrationError, ChainFormatError, DomainError,
                      NumericalError)
@@ -50,8 +51,14 @@ def _build_model(args) -> pricing.ModelSpec:
                                   gamma=args.gamma)
 
 
-def _out_stream(path):
-    return open(path, "w", encoding="utf-8") if path else sys.stdout
+@contextlib.contextmanager
+def _output(path):
+    """stdout, left open, or the file at ``path``, closed on error too."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        yield fh
 
 
 def _float_list(text: str) -> list:
@@ -73,8 +80,6 @@ def _cmd_price(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    from . import verify
-
     model = _build_model(args)
     env = pricing.MarketEnv(rate=args.rate, spot=args.spot)
     s_max = args.s_max if args.s_max is not None else 3.0 * args.spot * math.exp(
@@ -84,12 +89,8 @@ def _cmd_density(args) -> int:
         raise DomainError("need 0 < s-min < s-max")
     grid = np.linspace(s_min, s_max, args.points)
     dens = pricing.transition_density(model, env, args.maturity, grid)
-    out = _out_stream(args.out)
-    try:
-        verify.write_density_csv(grid, dens, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    with _output(args.out) as out:
+        pricing.write_density_csv(grid, dens, out)
     return 0
 
 
@@ -98,12 +99,8 @@ def _cmd_curve(args) -> int:
     env = pricing.MarketEnv(rate=args.rate, spot=args.spot)
     rows = pricing.price_curve(model, env, args.maturity, args.strike,
                                _float_list(args.alphas), _float_list(args.hursts))
-    out = _out_stream(args.out)
-    try:
+    with _output(args.out) as out:
         pricing.write_price_curve_csv(rows, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -112,12 +109,8 @@ def _cmd_simulate(args) -> int:
                                        gamma=args.gamma)
     grid = process.TimeGrid(_float_list(args.times))
     batch = process.sample_msfbm(grid, params, args.n_paths, args.seed)
-    out = _out_stream(args.out)
-    try:
+    with _output(args.out) as out:
         batch.to_csv(out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -154,12 +147,8 @@ def _cmd_calibrate(args) -> int:
     cfg = cal.OptimizerConfig(n_starts=args.starts, seed=args.seed,
                               maxiter=args.maxiter)
     report = cal.fit(chain, args.model, args.mode, cfg)
-    out = _out_stream(args.out)
-    try:
+    with _output(args.out) as out:
         out.write(report.to_json() + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0 if report.converged else 2
 
 
@@ -171,12 +160,8 @@ def _cmd_compare(args) -> int:
     cfg = cal.OptimizerConfig(n_starts=args.starts, seed=args.seed,
                               maxiter=args.maxiter)
     rows = cal.compare_models(chain, catalog, args.mode, cfg)
-    out = _out_stream(args.out)
-    try:
+    with _output(args.out) as out:
         out.write(cal.comparison_to_json(rows) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 2 if any(r.failed for r in rows) else 0
 
 

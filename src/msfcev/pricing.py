@@ -64,6 +64,7 @@ __all__ = [
     "clock_gradient",
     "price_curve",
     "write_price_curve_csv",
+    "write_density_csv",
     "black_scholes_call",
 ]
 
@@ -165,14 +166,6 @@ class ModelSpec:
                                    beta=beta, gamma=gamma)
         return ModelSpec(family=family, driver=driver, sigma=sigma,
                          alpha=alpha, driver_params=params)
-
-    def with_(self, **kwargs) -> "ModelSpec":
-        """Copy with replaced fields (driver params may be passed flat)."""
-        flat = {k: kwargs.pop(k) for k in ("hurst", "beta", "gamma")
-                if k in kwargs}
-        if flat:
-            kwargs["driver_params"] = replace(self.driver_params, **flat)
-        return replace(self, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -551,3 +544,13 @@ def write_price_curve_csv(rows, target) -> None:
     for a, h, name, price in rows:
         target.write(f"{a:.12g},{h:.12g},{name},{price:.12g}\n")
 
+
+def write_density_csv(s_values, densities, target) -> None:
+    """Emit ``S_T,density`` rows for external inspection."""
+    if isinstance(target, (str, bytes, os.PathLike)):
+        with open(target, "w", encoding="utf-8") as fh:
+            write_density_csv(s_values, densities, fh)
+        return
+    target.write("S_T,density\n")
+    for s_t, d in zip(s_values, densities):
+        target.write(f"{s_t:.12g},{d:.12g}\n")

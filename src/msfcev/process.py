@@ -13,7 +13,6 @@ normal draws.
 
 from __future__ import annotations
 
-import io
 import math
 import os
 from dataclasses import dataclass
@@ -110,11 +109,6 @@ class PathBatch:
             return
         np.savetxt(target, self.paths, delimiter=",", header=header,
                    comments="", fmt="%.17g")
-
-    def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
 
 
 def sfbm_covariance(s: float, t: float, hurst: float) -> float:

@@ -22,9 +22,7 @@ oracle there.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 import warnings
 from dataclasses import dataclass
 
@@ -52,7 +50,6 @@ __all__ = [
     "quadrature_price",
     "run_checks",
     "skipped_checks",
-    "write_density_csv",
 ]
 
 @dataclass(frozen=True)
@@ -89,7 +86,6 @@ class McConfig:
     n_paths: int
     n_steps: int = 10
     seed: int = 0
-    antithetic: bool = False
 
     def __post_init__(self) -> None:
         if self.n_paths < 1000:
@@ -104,10 +100,6 @@ class McResult:
     se: float
     n_paths: int
     seed: int
-
-    def to_json(self) -> str:
-        return json.dumps({"price": self.price, "se": self.se,
-                           "n_paths": self.n_paths, "seed": self.seed})
 
 
 @dataclass(frozen=True)
@@ -257,22 +249,19 @@ def _mc_price(cfg: McConfig, disc: float, block: int, draw_shape: tuple,
 
     Block ``b`` of at most ``block`` draws of standard normals, each of shape
     ``draw_shape``, comes from ``block_rng(cfg.seed, b)``, so a seed fixes
-    the result on every machine.  With ``cfg.antithetic`` each draw is
-    paired with its negation and the pair's mean payoff is one sample.
+    the result on every machine.
     """
-    if cfg.antithetic and cfg.n_paths % 2:
-        raise DomainError("antithetic sampling needs an even n_paths")
-    n_units = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
+    n = cfg.n_paths
     total = total_sq = 0.0
-    for b, done in enumerate(range(0, n_units, block)):
+    for b, done in enumerate(range(0, n, block)):
         z = block_rng(cfg.seed, b).standard_normal(
-            (min(block, n_units - done),) + draw_shape)
-        y = 0.5 * (payoff(z) + payoff(-z)) if cfg.antithetic else payoff(z)
+            (min(block, n - done),) + draw_shape)
+        y = payoff(z)
         total += float(y.sum())
         total_sq += float((y ** 2).sum())
-    mean = total / n_units
-    var = max(total_sq / n_units - mean ** 2, 0.0)
-    return McResult(price=disc * mean, se=disc * math.sqrt(var / n_units),
+    mean = total / n
+    var = max(total_sq / n - mean ** 2, 0.0)
+    return McResult(price=disc * mean, se=disc * math.sqrt(var / n),
                     n_paths=cfg.n_paths, seed=cfg.seed)
 
 
@@ -472,14 +461,3 @@ def skipped_checks(model: ModelSpec, *, with_mc: bool = False,
     if with_fpe and model.family != Family.CEV:
         skipped.append("fpe_l1_distance")
     return skipped
-
-
-def write_density_csv(s_values, densities, target) -> None:
-    """Emit ``S_T,density`` rows for external inspection."""
-    if isinstance(target, (str, bytes, os.PathLike)):
-        with open(target, "w", encoding="utf-8") as fh:
-            write_density_csv(s_values, densities, fh)
-        return
-    target.write("S_T,density\n")
-    for s_t, d in zip(s_values, densities):
-        target.write(f"{s_t:.12g},{d:.12g}\n")

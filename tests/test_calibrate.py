@@ -102,11 +102,18 @@ class TestObjective:
                                    quotes=tuple(quotes))
         assert cal.mse_objective("msfcev", [0.31, 1.1, 0.8], shuffled) == base
 
-    def test_out_of_bounds_is_inf(self, msfcev_chain):
-        assert cal.mse_objective("msfcev", [9.0, 1.2, 0.75],
-                                 msfcev_chain) == math.inf
-        assert cal.mse_objective("msfcev", [0.3, 1.2, 0.3],
-                                 msfcev_chain) == math.inf
+    def test_rejected_parameters_raise(self, msfcev_chain):
+        with pytest.raises(DomainError):
+            cal.mse_objective("msfcev", [0.3, 1.2, 0.3], msfcev_chain)
+
+    def test_outside_fit_box_is_plain_mse(self, msfcev_chain):
+        # sigma 9 is a valid model outside PARAM_BOUNDS: no box penalty
+        assert 9.0 > cal.PARAM_BOUNDS["sigma"][1]
+        names = cal.free_parameters("msfcev")
+        res = cal._residuals("msfcev", names, np.array([9.0, 1.2, 0.75]),
+                             cal._quote_arrays(msfcev_chain.quotes))
+        assert cal.mse_objective("msfcev", [9.0, 1.2, 0.75], msfcev_chain) == \
+            float(np.sum(res ** 2)) / res.size
 
     def test_wrong_vector_shape(self, msfcev_chain):
         with pytest.raises(DomainError):

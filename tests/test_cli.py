@@ -230,11 +230,13 @@ class TestVerifyCommand:
 
 class TestColdStart:
     @staticmethod
-    def loaded_by_cli_import(*modules):
-        """The ``modules`` that a fresh interpreter has after ``import msfcev.cli``."""
+    def loaded_by_cli_import(*modules, argv=None):
+        """The ``modules`` that a fresh interpreter has after ``import msfcev.cli``
+        and, if ``argv`` is given, a successful ``msfcev.cli.main(argv)``."""
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-        code = (f"import sys, msfcev.cli; "
+        run_main = f"assert msfcev.cli.main({argv!r}) == 0; " if argv else ""
+        code = (f"import sys, msfcev.cli; {run_main}"
                 f"print(*[m for m in {modules!r} if m in sys.modules])")
         return subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
                               capture_output=True, text=True,
@@ -246,6 +248,14 @@ class TestColdStart:
     def test_cli_import_leaves_calibrate_out(self):
         # only the commands that fit or run the oracles need scipy.optimize
         assert self.loaded_by_cli_import("msfcev.calibrate", "scipy.optimize") == []
+
+    def test_density_command_leaves_oracles_out(self):
+        # writing a density CSV needs neither the oracles nor scipy.integrate
+        argv = ["density", "--model", "msfcev", "--sigma", "0.3", "--alpha", "1.2",
+                "--hurst", "0.75", "--rate", "0.05", "--spot", "100",
+                "--maturity", "0.5", "--points", "5", "--out", os.devnull]
+        assert self.loaded_by_cli_import("msfcev.verify", "scipy.integrate",
+                                         argv=argv) == []
 
 
 class TestCalibrateCommand:

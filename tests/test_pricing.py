@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -204,7 +205,7 @@ class TestEffectiveVariance:
         vals = [effective_variance(m, env100, float(t)) for t in ts]
         assert all(b > a for a, b in zip(vals, vals[1:]))
         sigmas = np.linspace(0.1, 1.0, 8)
-        vals = [effective_variance(m.with_(sigma=float(s)), env100, 1.0)
+        vals = [effective_variance(replace(m, sigma=float(s)), env100, 1.0)
                 for s in sigmas]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
@@ -263,7 +264,7 @@ class TestTransitionDensity:
             for s_t in (60.0, 95.0, 110.0, 160.0):
                 mine = transition_density(model, env100, t, s_t)
                 ref = density_oracle(model, env100, t, s_t)
-                assert mine == pytest.approx(ref, rel=1e-8)
+                assert mine == pytest.approx(ref, rel=1e-8, abs=0.0)
 
     def test_integral_is_one_alpha_one(self, env100):
         m = make("cev", alpha=1.0, beta=1.0, gamma=0.0)
@@ -605,7 +606,7 @@ class TestCallPrice:
         p_spots = [call_price(m, MarketEnv(rate=0.05, spot=s), 1.0, 100.0)
                    for s in (90.0, 100.0, 110.0)]
         assert p_spots[0] < p_spots[1] < p_spots[2]
-        p_sig = [call_price(m.with_(sigma=s), env100, 1.0, 100.0)
+        p_sig = [call_price(replace(m, sigma=s), env100, 1.0, 100.0)
                  for s in (0.2, 0.3, 0.45)]
         assert p_sig[0] < p_sig[1] < p_sig[2]
 
@@ -623,7 +624,7 @@ class TestCallPrice:
         ref = 3.283964983411784e-68
         m = make("msfcev", sigma=30.0, alpha=0.0, hurst=0.75)
         price = call_price(m, MarketEnv(rate=0.05, spot=100.0), 0.25, 400.0)
-        assert price == pytest.approx(ref, rel=1e-6)
+        assert price == pytest.approx(ref, rel=1e-6, abs=0.0)
 
     @pytest.mark.parametrize("name", ["msfcev", "bs"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])

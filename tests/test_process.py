@@ -226,7 +226,9 @@ class TestPathBatchCsv:
         g = TimeGrid([0.0, 0.5, 1.0])
         p = MixedDriverParams(hurst=0.7)
         batch = sample_msfbm(g, p, 5, seed=3)
-        text = batch.to_csv_string()
+        buf = io.StringIO()
+        batch.to_csv(buf)
+        text = buf.getvalue()
         lines = text.strip().splitlines()
         assert lines[0] == "t_0,t_1,t_2"
         data = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)

@@ -71,13 +71,14 @@ class TestBesselI:
     def test_scaled_accuracy_domain(self, order, z):
         ref = float(ive(order, z))
         if ref > 0.0:
-            assert bessel_i_scaled(order, z) == pytest.approx(ref, rel=1e-10)
+            assert bessel_i_scaled(order, z) == pytest.approx(ref, rel=1e-10,
+                                                              abs=0.0)
 
     def test_large_order_beyond_guarantee(self):
         # density evaluations can push the order to ~1000
         for order, z in ((500.0, 100.0), (1000.0, 700.0)):
             assert bessel_i_scaled(order, z) == pytest.approx(
-                float(ive(order, z)), rel=1e-9)
+                float(ive(order, z)), rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("order", [0.0, 0.5, 1.0, 2.5, 5.0])
     @pytest.mark.parametrize("z", [30.0, 31.0, 60.0, 200.0, 700.0])
@@ -109,7 +110,7 @@ class TestBesselI:
         assert math.isnan(float(ive(order, z)))
         with mpmath.workdps(30):
             ref = float(mpmath.besseli(order, z) * mpmath.exp(-z))
-        assert bessel_i_scaled(order, z) == pytest.approx(ref, rel=1e-14)
+        assert bessel_i_scaled(order, z) == pytest.approx(ref, rel=1e-14, abs=0.0)
         mixed = bessel_i_scaled(np.array([order, order]), np.array([z, 50.0]))
         assert mixed[0] == bessel_i_scaled(order, z)
         assert mixed[1] == float(ive(order, 50.0))
@@ -228,9 +229,11 @@ class TestChi2Noncentral:
     def test_deep_tails_keep_relative_accuracy(self):
         # the direct cdf mixture must not degrade to 1 - (1 - tiny)
         val = chi2_noncentral_sf_cdf(1.0, 1.0, 100.0, upper=False)
-        assert val == pytest.approx(float(ncx2.cdf(1.0, 1.0, 100.0)), rel=1e-9)
+        assert val == pytest.approx(float(ncx2.cdf(1.0, 1.0, 100.0)), rel=1e-9,
+                                     abs=0.0)
         val = chi2_noncentral_sf_cdf(300.0, 2.0, 60.0, upper=True)
-        assert val == pytest.approx(float(ncx2.sf(300.0, 2.0, 60.0)), rel=1e-9)
+        assert val == pytest.approx(float(ncx2.sf(300.0, 2.0, 60.0)), rel=1e-9,
+                                     abs=0.0)
 
     def test_monotonicity_grids(self):
         xs = np.linspace(0.0, 60.0, 25)
@@ -332,7 +335,7 @@ class TestChi2Noncentral:
         xs, dfs, ncs, uppers, refs = (np.array(v) for v in zip(*self.LARGE_NC))
         for x, df, nc, upper, ref in self.LARGE_NC:
             got = chi2_noncentral_sf_cdf(x, df, nc, upper=upper)
-            assert got == pytest.approx(ref, rel=1e-13)
+            assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
             other = chi2_noncentral_sf_cdf(x, df, nc, upper=not upper)
             assert got + other == pytest.approx(1.0, abs=1e-15)
         batch = chi2_noncentral_sf_cdf(xs, dfs, ncs, upper=uppers)

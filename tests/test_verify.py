@@ -1,5 +1,4 @@
 import io
-import json
 import math
 
 import numpy as np
@@ -12,11 +11,11 @@ from msfcev.pricing import (Driver, MarketEnv, ModelSpec, call_price,
                             driver_variance, black_scholes_call,
                             transition_density)
 from msfcev import pricing, verify
-from msfcev.verify import (Check, FpeGrid, McConfig, McResult,
+from msfcev.pricing import write_density_csv
+from msfcev.verify import (Check, FpeGrid, McConfig,
                            effective_variance_quadrature,
                            mc_price_cev_classical, mc_price_msfbs,
-                           quadrature_price, run_checks, solve_fpe,
-                           write_density_csv)
+                           quadrature_price, run_checks, solve_fpe)
 
 
 def fpe_l1(model, env, maturity, grid):
@@ -148,16 +147,6 @@ class TestMcMsfbs:
                             McConfig(n_paths=300_000, seed=6))
         assert abs(mc.price - self.closed(m, env100, 1.0, 100.0)) <= 3.0 * mc.se
 
-    def test_antithetic_consistency(self, env100):
-        m = ModelSpec.make("bs", sigma=0.3)
-        plain = mc_price_msfbs(m, env100, 1.0, 100.0,
-                               McConfig(n_paths=200_000, seed=7))
-        anti = mc_price_msfbs(m, env100, 1.0, 100.0,
-                              McConfig(n_paths=200_000, seed=8, antithetic=True))
-        combined = math.hypot(plain.se, anti.se)
-        assert abs(plain.price - anti.price) <= 3.0 * combined
-        assert anti.se < plain.se  # variance reduction at the money
-
     def test_determinism(self, env100):
         m = ModelSpec.make("msfbs", sigma=0.3, hurst=0.8)
         a = mc_price_msfbs(m, env100, 0.5, 105.0, McConfig(n_paths=50_000, seed=3))
@@ -234,47 +223,28 @@ class TestMcPinned:
     (65536 and 16384), so the short last block is covered.
     """
 
-    @pytest.mark.parametrize("n_paths,antithetic,price,se", [
-        (70001, False, 15.37678895237875, 0.10718510599854474),
-        (140002, True, 15.45071708289706, 0.06452911000474136),
-        (65536, False, 15.313615729476615, 0.11047948611790548),
+    @pytest.mark.parametrize("n_paths,price,se", [
+        (70001, 15.37678895237875, 0.10718510599854474),
+        (65536, 15.313615729476615, 0.11047948611790548),
     ])
-    def test_msfbs(self, env100, n_paths, antithetic, price, se):
+    def test_msfbs(self, env100, n_paths, price, se):
         m = ModelSpec.make("msfbs", sigma=0.3, hurst=0.7)
         mc = mc_price_msfbs(m, env100, 1.0, 105.0,
-                            McConfig(n_paths=n_paths, seed=17,
-                                     antithetic=antithetic))
+                            McConfig(n_paths=n_paths, seed=17))
         assert (mc.price, mc.se) == (price, se)
 
-    @pytest.mark.parametrize("n_paths,antithetic,price,se", [
-        (20001, False, 12.357986672137894, 0.10921166871068842),
-        (40002, True, 12.439058486650918, 0.04730753481341722),
-    ])
-    def test_cev_classical(self, env100, n_paths, antithetic, price, se):
+    def test_cev_classical(self, env100):
         m = ModelSpec.make("cev", sigma=3.0, alpha=1.0)
         mc = mc_price_cev_classical(m, env100, 0.5, 95.0,
-                                    McConfig(n_paths=n_paths, n_steps=100,
-                                             seed=23, antithetic=antithetic))
-        assert (mc.price, mc.se) == (price, se)
+                                    McConfig(n_paths=20001, n_steps=100, seed=23))
+        assert (mc.price, mc.se) == (12.357986672137894, 0.10921166871068842)
 
-    @pytest.mark.parametrize("n_paths,antithetic,price,se", [
-        (20001, False, 26.444331405579423, 0.2286543262932333),
-        (40002, True, 26.323163066653986, 0.0963731556969356),
-    ])
-    def test_cev_classical_absorbed_paths(self, env100, n_paths, antithetic,
-                                          price, se):
+    def test_cev_classical_absorbed_paths(self, env100):
         # local volatility 30 S^(-0.9): about 1.7% of the paths hit zero
         m = ModelSpec.make("cev", sigma=30.0, alpha=0.2)
         mc = mc_price_cev_classical(m, env100, 1.0, 90.0,
-                                    McConfig(n_paths=n_paths, n_steps=200,
-                                             seed=29, antithetic=antithetic))
-        assert (mc.price, mc.se) == (price, se)
-
-    def test_antithetic_needs_even_paths(self, env100):
-        m = ModelSpec.make("bs", sigma=0.3)
-        with pytest.raises(DomainError, match="even"):
-            mc_price_msfbs(m, env100, 1.0, 100.0,
-                           McConfig(n_paths=10_001, seed=1, antithetic=True))
+                                    McConfig(n_paths=20001, n_steps=200, seed=29))
+        assert (mc.price, mc.se) == (26.444331405579423, 0.2286543262932333)
 
 
 NON_FINITE_CALLS = {
@@ -501,8 +471,3 @@ class TestExports:
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "S_T,density"
         assert lines[1].startswith("90,")
-
-    def test_mc_result_json(self):
-        res = McResult(price=1.25, se=0.01, n_paths=1000, seed=42)
-        data = json.loads(res.to_json())
-        assert data == {"price": 1.25, "se": 0.01, "n_paths": 1000, "seed": 42}
