@@ -14,8 +14,9 @@ evaluate through scipy's vectorised ufuncs: ``scipy.special.ive`` (Amos)
 for Bessel I, and for the chi-squared tails Boost's survival function
 (``scipy.special._ufuncs._ncx2_sf``, the kernel under
 ``scipy.stats.ncx2.sf``) and ``scipy.special.chndtr``, each of which keeps
-relative accuracy in its own tail; above a non-centrality of 1e5 both
-tails are a Gauss-Legendre quadrature of the density.  The Kummer functions
+relative accuracy in its own tail down to about 1e-60; above a
+non-centrality of 1e5, and below 1e-60 from nc = 1 up, the tail is a
+Gauss-Legendre quadrature of the density.  The Kummer functions
 of the effective variance come from ``scipy.special.hyp1f1`` in
 :mod:`msfcev.pricing`.
 
@@ -62,9 +63,9 @@ def _checked(value, ok, message: str):
             raise DomainError(f"{message}, got {v!r}")
         return v
     v = np.asarray(value, dtype=np.float64)
-    good = ok(v)
-    if not good.all():
-        raise DomainError(f"{message}, got {float(v[~good][0])!r}")
+    # each ok is an interval, so its two ends decide it; NaN fails both
+    if v.size and not (ok(v.min()) and ok(v.max())):
+        raise DomainError(f"{message}, got {float(v[~ok(v)][0])!r}")
     return v
 
 
@@ -132,6 +133,11 @@ def _ive_hankel(order: np.ndarray, z: np.ndarray) -> np.ndarray:
 # with nc, and from nc 1e5 up it stays within 6e-14 of mpmath.
 _SERIES_NC_MAX = 1e5
 
+# Below this value a series kernel's tail goes to _tail_quadrature too, at
+# nc >= 1, where the quadrature is within 5e-15 of 40-digit mpmath (below
+# nc = 1 Boost's survival function stays exact and the quadrature does not)
+_KERNEL_FLOOR = 1e-60
+
 # composite Gauss-Legendre rule on [0, 1]: four panels of 16 nodes
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _TAIL_NODES = ((np.arange(4.0)[:, None] + 0.5 * (_GAUSS_NODES + 1.0)) / 4.0).ravel()
@@ -151,8 +157,10 @@ def chi2_noncentral_sf_cdf(x, df, noncentrality, upper):
     and at nc = 0 it is the central ``chdtrc`` (Boost's non-central tail is
     an ulp off there).  Above nc = 1e5, where both series grow slow and
     inexact, either tail is a quadrature of the density
-    (:func:`_tail_quadrature`).  Returns an array (a float when every
-    argument is scalar).
+    (:func:`_tail_quadrature`), and so is any tail a kernel puts below
+    1e-60 at nc >= 1: there both kernels lose digits, and return exactly 0
+    for some tails far above float64's floor.  Returns an array (a float
+    when every argument is scalar).
     """
     x = _checked(x, _finite_non_negative,
                  "chi-squared argument must be finite and >= 0")
@@ -162,25 +170,35 @@ def chi2_noncentral_sf_cdf(x, df, noncentrality, upper):
     upper = np.asarray(upper, dtype=bool)
     sf_inside = upper & np.greater(x, 0.0)
     lower = ~upper
-    central = np.equal(nc, 0.0)
-    out = np.ones(np.broadcast_shapes(np.shape(x), np.shape(df), np.shape(nc),
-                                      upper.shape))
-    series = np.less_equal(nc, _SERIES_NC_MAX)
-    if not series.all():
+    out = np.ones(np.broadcast(x, df, nc, upper).shape)
+    if np.max(nc) > _SERIES_NC_MAX:
+        series = np.less_equal(nc, _SERIES_NC_MAX)
         far = ~np.broadcast_to(series, out.shape)
         out[far] = _tail_quadrature(*(np.broadcast_to(v, out.shape)[far]
                                       for v in (x, df, nc, upper)))
         sf_inside = sf_inside & series
         lower = lower & series
+    central = np.equal(nc, 0.0)
+    if central.any():
+        special.chdtrc(df, x, out=out, where=sf_inside & central)
+        sf_inside = sf_inside & ~central
     with np.errstate(over="ignore"):  # as ncx2.sf does (scipy gh-17432)
-        _ncx2_sf(x, df, nc, out=out, where=sf_inside & ~central)
-    special.chdtrc(df, x, out=out, where=sf_inside & central)
+        _ncx2_sf(x, df, nc, out=out, where=sf_inside)
     special.chndtr(x, df, nc, out=out, where=lower)
+    # both kernels lose their digits deep in the tails: chndtr's lower tails
+    # are up to 10% off from about 1e-60 down, Boost's upper ones from about
+    # 1e-160, and either returns exactly 0 for some tails far above
+    # float64's floor; there the quadrature takes over where it holds
+    if out.min(initial=1.0) < _KERNEL_FLOOR:
+        deep = ((out < _KERNEL_FLOOR) & np.greater_equal(nc, 1.0)
+                & (sf_inside | (lower & np.greater(x, 0.0))))
+        out[deep] = _tail_quadrature(*(np.broadcast_to(v, out.shape)[deep]
+                                       for v in (x, df, nc, upper)))
     return _float_if_scalar(out)
 
 
 def _tail_quadrature(x, df, nc, upper):
-    """sf (where ``upper``) or cdf of chi2(df, nc) at x, for a large nc.
+    """sf (where ``upper``) or cdf of chi2(df, nc) at x, by quadrature of the density.
 
     In u = sqrt(t) the density of chi2(df, nc) is
 
@@ -192,13 +210,16 @@ def _tail_quadrature(x, df, nc, upper):
     exp(-(d + v)^2 / 2) falls by e^-40 from its value at v = 0, d the
     distance of sqrt(x) from the centre; the other tail is one minus it.
     The Bessel factor at the nodes is Hankel's expansion, 2-7 times as
-    fast as ``ive`` at z 1e5-1e8, wherever its first term ratio
-    4 nu^2 / 8z is at most 1, so that its terms only fall (there it is
-    within 3e-16 of 30-digit mpmath at orders 99 and 1000);
+    fast as ``ive`` at z 1e5-1e8, wherever z >= 1e3 and its first term
+    ratio 4 nu^2 / 8z is at most 1, so that its terms only fall (there it
+    is within 3e-16 of 30-digit mpmath at orders 99 and 1000);
     :func:`bessel_i_scaled` takes the other nodes and any where the
-    expansion does not converge.  Below df = 2 the order is negative;
-    ive(-nu, z) differs from ive(nu, z) by a term in exp(-2z), and z = u c
-    stays above ~nc at every node that counts.
+    expansion does not converge.  The exponent's largest part,
+    -(sqrt(x) - sqrt(nc))^2 / 2, is taken in extended precision, so a tail
+    near 1e-160 keeps the digits a float64 rounding of it would cost (1e-13;
+    where ``np.longdouble`` is float64, that is what it costs).  Below
+    df = 2 the order is negative; ive(-nu, z) differs from ive(nu, z) by a
+    term in exp(-2z), and z = u c stays above ~nc at every node that counts.
     """
     root_x, c, centre = np.sqrt(x), np.sqrt(nc), np.sqrt(nc + df)
     d = (x - (nc + df)) / (root_x + centre)  # sqrt(x) - centre, no cancellation
@@ -206,20 +227,43 @@ def _tail_quadrature(x, df, nc, upper):
     span = np.sqrt(d * d + 80.0) - np.abs(d)
     span = np.where(above, span, np.minimum(span, root_x))
     gap = (x - nc) / (root_x + c)  # sqrt(x) - c
-    offset = gap[:, None] + np.where(above, 1.0, -1.0)[:, None] * (
-        span[:, None] * _TAIL_NODES)  # u - c at every node
+    step = np.where(above, 1.0, -1.0)[:, None] * (span[:, None] * _TAIL_NODES)
+    u = root_x[:, None] + step  # > 0 at every node, as the span stops at u = 0
+    offset = gap[:, None] + step  # u - c
     nu = 0.5 * df[:, None] - 1.0
     with np.errstate(divide="ignore", invalid="ignore"):  # x = 0: empty span
-        log_f = (np.log(c[:, None] + offset) + nu * np.log1p(offset / c[:, None])
-                 - 0.5 * offset ** 2)
-        order = np.broadcast_to(np.abs(nu), offset.shape)
-        z = c[:, None] * (c[:, None] + offset)
-        hankel = order * order <= 2.0 * z  # first term ratio 4 nu^2 / 8z <= 1
+        order = np.broadcast_to(np.abs(nu), u.shape)
+        z = c[:, None] * u
+        # first term ratio 4 nu^2 / 8z <= 1; below z = 1e3 the terms of small
+        # orders fall too slowly to stop within 30
+        hankel = (order * order <= 2.0 * z) & (z >= 1e3)
         bessel = np.full(z.shape, np.nan)
-        bessel[hankel] = _ive_hankel(order[hankel], z[hankel])
+        if hankel.any():
+            bessel[hankel] = _ive_hankel(order[hankel], z[hankel])
+        log_f = np.log(u) + nu * np.log1p(offset / c[:, None])  # nu log(u / c)
+        # near u = 0, 1 + (u - c) / c rounds: there log u / c directly
+        coarse = (gap - span) / c < -0.5
+        if coarse.any():
+            u_c = u[coarse]
+            log_f[coarse] = np.log(u_c) + nu[coarse] * np.log(u_c / c[coarse, None])
+        # -(u - c)^2 / 2 = -gap^2 / 2 - step (gap + step / 2).  The first term
+        # runs to hundreds in deep tails, where one float64 rounding of it
+        # costs 1e-13 of the tail, so it is added back in extended precision
+        log_f -= step * (gap[:, None] + 0.5 * step)
         slow = np.isnan(bessel)
-        if slow.any():  # at x = 0 every node is u = 0, which can round below
-            bessel[slow] = bessel_i_scaled(order[slow], np.maximum(z[slow], 0.0))
-        f = np.exp(log_f) * bessel
-        tail = np.where(span > 0.0, span * (f @ _TAIL_WEIGHTS), 0.0)
+        if slow.any():  # ive, which can underflow where log f is large
+            log_f[slow] += np.log(bessel_i_scaled(order[slow], z[slow]))
+            bessel[slow] = 1.0
+        # the nodes are scaled by the first one, at u ~ sqrt(x), next to the
+        # integrand's peak, so neither the sum nor the scale over- or underflows
+        # where the tail itself does not
+        ref = log_f[:, 0]
+        ref = np.where(np.isfinite(ref), ref, 0.0)
+        wide_x, wide_nc = x.astype(np.longdouble), nc.astype(np.longdouble)
+        wide_gap = (wide_x - wide_nc) / (np.sqrt(wide_x) + np.sqrt(wide_nc))
+        scale = np.exp(ref - 0.5 * wide_gap * wide_gap).astype(np.float64)
+        # vecdot, unlike a matrix product, sums every row the same way
+        # whatever the batch, so a point's tail does not depend on its company
+        f = np.exp(log_f - ref[:, None]) * bessel
+        tail = np.where(span > 0.0, span * np.vecdot(f, _TAIL_WEIGHTS) * scale, 0.0)
     return np.where(above == upper, tail, 1.0 - tail)

@@ -7,9 +7,10 @@ Three routes that do not share code with the analytic pricing path:
   transition density;
 * Monte Carlo pricers (exact terminal sampling for the BS family, an
   Euler scheme for the classical CEV) checked against the closed forms;
-* adaptive quadrature of the discounted payoff against the transition
-  density, checked against the chi-squared price formula, and of the
-  effective variance's defining integral, checked against its closed form.
+* a composite Gauss-Kronrod rule for the discounted payoff against the
+  transition density, checked against the chi-squared price formula, and
+  adaptive quadrature of the effective variance's defining integral,
+  checked against its closed form.
 
 :func:`run_checks` runs these routes as the ``msfcev verify`` suite and
 returns one :class:`Check` row each; the suite's tolerances live only there.
@@ -352,38 +353,72 @@ def effective_variance_quadrature(model: ModelSpec, env: MarketEnv,
     return model.sigma ** 2 * (2.0 - a) ** 2 * value
 
 
+# 15-node Kronrod rule on [-1, 1] and its embedded 7-node Gauss rule
+# (QUADPACK qk15), the Gauss weights zero at the Kronrod-only nodes
+_KRONROD_HALF = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0])
+_KRONROD_HALF_WEIGHTS = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714])
+_GAUSS_HALF_WEIGHTS = np.array([
+    0.0, 0.129484966168869693270611432679082, 0.0,
+    0.279705391489276667901467771423780, 0.0,
+    0.381830050505118944950369775488975, 0.0,
+    0.417959183673469387755102040816327])
+_KRONROD_NODES = np.concatenate((-_KRONROD_HALF[:-1], _KRONROD_HALF[::-1]))
+_KRONROD_WEIGHTS = np.concatenate((_KRONROD_HALF_WEIGHTS[:-1],
+                                   _KRONROD_HALF_WEIGHTS[::-1]))
+_GAUSS_WEIGHTS = np.concatenate((_GAUSS_HALF_WEIGHTS[:-1],
+                                 _GAUSS_HALF_WEIGHTS[::-1]))
+_TINY = float(np.finfo(np.float64).tiny)  # smallest normal float64
+
+
 def quadrature_price(model: ModelSpec, env: MarketEnv, maturity: float,
                      strike: float) -> float:
-    """Discounted payoff integrated against the transition density."""
+    """Discounted payoff integrated against the transition density.
+
+    The integral runs in u = sqrt(w), w = k_s S^(2-alpha), in which the
+    density falls like exp(-(u - sqrt(y_s))^2) on both sides of its centre
+    sqrt(y_s + nu + 1); S = (u^2/k_s)^nu and dS = 2 nu S/u du.  It spans
+    max(u_K, centre - 10) to sqrt(d^2 + 60) - d past max(u_K, centre),
+    d = max(u_K - centre, 0), in equal panels at most min(1, 2/d) wide.
+    Near u = 0 the integrand is a non-integer power of u, so a first panel
+    that starts within its own width of 0 is split in eight, halving
+    towards 0.  Every panel takes the 15-node Kronrod rule, all nodes
+    through one array call of the density, and the error estimate is the
+    summed gap between each panel's Kronrod and embedded Gauss values.
+    """
     if model.family != Family.CEV:
         raise DomainError("quadrature_price covers the CEV family only")
     _check_inputs(maturity, strike, zero_strike_ok=True)
     ints = cev_intermediates(model, env, maturity, strike=max(strike, 1e-12))
     a = model.alpha
     nu = 1.0 / (2.0 - a)
-    # upper cutoff from the chi-squared tail of w = k S^(2-alpha)
-    two_w_hi = (2.0 * ints.y_s + 2.0 * nu + 2.0
-                + 40.0 * math.sqrt(2.0 * (2.0 + 2.0 * nu + 4.0 * ints.y_s))
-                + 200.0)
-    s_hi = (0.5 * two_w_hi / ints.k_s) ** (1.0 / (2.0 - a))
-    if s_hi <= strike:
-        return 0.0
-
-    # transition_density's formula on plain floats: Phi and the chi-squared
-    # coordinates once per call, not once per node
-    k_s, y_s, power = ints.k_s, ints.y_s, 2.0 - a
-
-    def integrand(s_t: float) -> float:
-        return (s_t - strike) * _density(a, k_s, y_s, k_s * s_t ** power)
-
-    mode = env.spot * math.exp(env.rate * maturity)
-    pts = [p for p in (mode,) if strike < p < s_hi]
-    # no absolute tolerance: deep out-of-the-money values lie far below any
-    # fixed one, and only a relative error keeps their digits
-    value, err = integrate.quad(integrand, strike, s_hi, epsabs=0.0,
-                                epsrel=1e-9, limit=800,
-                                points=pts or None)
-    if not math.isfinite(value) or (value > 0.0 and err > 1e-6 * value):
+    k_s, y_s = ints.k_s, ints.y_s
+    u_k = math.sqrt(k_s * strike ** (2.0 - a))
+    centre = math.sqrt(y_s + nu + 1.0)
+    d = max(u_k - centre, 0.0)
+    lo = max(u_k, centre - 10.0)
+    hi = max(u_k, centre) + math.sqrt(d * d + 60.0) - d
+    edges = np.linspace(lo, hi, math.ceil((hi - lo) * max(1.0, 0.5 * d)) + 1)
+    if lo < edges[1] - lo:
+        graded = edges[1] * 0.5 ** np.arange(8, 0, -1)
+        edges = np.concatenate(([lo], graded[graded > lo], edges[1:]))
+    half = 0.5 * np.diff(edges)
+    u = edges[:-1, None] + half[:, None] * (1.0 + _KRONROD_NODES)
+    w = u * u
+    s_t = (w / k_s) ** nu
+    f = (s_t - strike) * _density(a, k_s, y_s, w) * (2.0 * nu * s_t / u)
+    kronrod = half * (f @ _KRONROD_WEIGHTS)
+    value = float(kronrod.sum())
+    err = float(np.abs(kronrod - half * (f @ _GAUSS_WEIGHTS)).sum())
+    # a subnormal value carries too few digits for a relative error test
+    if not math.isfinite(value) or (value >= _TINY and err > 1e-6 * value):
         raise NumericalError(
             f"payoff quadrature did not converge: value={value!r}, err={err!r}")
     return math.exp(-env.rate * maturity) * value

@@ -19,7 +19,7 @@ from msfcev.pricing import (MODEL_NAMES, Driver, Family, MarketEnv, ModelSpec,
                             driver_variance, effective_variance, price_curve,
                             transition_density, write_price_curve_csv)
 from msfcev.process import MixedDriverParams
-from msfcev.verify import effective_variance_quadrature
+from msfcev.verify import effective_variance_quadrature, quadrature_price
 
 
 def make(name, **kw):
@@ -397,14 +397,19 @@ def kernel_points(monkeypatch):
 
     A series kernel's points are counted through its ``where`` mask; the
     density quadrature that takes the large non-centralities counts each
-    point as the tail its ``upper`` flag asks for.
+    point as the tail its ``upper`` flag asks for.  The quadrature also
+    re-evaluates a series point whose kernel put its tail below the kernel
+    floor; those points count under ``again``, as the same tail a second
+    time.
     """
-    counts = {"sf": 0, "cdf": 0}
+    counts = {"sf": 0, "cdf": 0, "again": 0}
     tail_quadrature = specfun._tail_quadrature
 
     def quadrature(x, df, nc, upper):
-        counts["sf"] += int(np.count_nonzero(upper))
-        counts["cdf"] += int(np.count_nonzero(~upper))
+        far = nc > specfun._SERIES_NC_MAX
+        counts["sf"] += int(np.count_nonzero(upper & far))
+        counts["cdf"] += int(np.count_nonzero(~upper & far))
+        counts["again"] += int(np.count_nonzero(~far))
         return tail_quadrature(x, df, nc, upper)
 
     def counted(kernel, key):
@@ -457,17 +462,20 @@ class TestTailChoice:
             if name not in ("bs", "cev"):
                 sigma /= math.sqrt(2.0)
             m = make(name, sigma=sigma, alpha=alpha, hurst=0.75)
-            kernel_points.update(sf=0, cdf=0)
+            kernel_points.update(sf=0, cdf=0, again=0)
             got = chain_prices(m, self.SPOT, t, self.RATE, k)
             if m.family == Family.BS:
                 # no chi-squared tail at all; the closed form is unchanged
-                assert kernel_points == {"sf": 0, "cdf": 0}
+                assert kernel_points == {"sf": 0, "cdf": 0, "again": 0}
                 v = m.sigma ** 2 * driver_variance(m.driver, m.driver_params, t)
                 np.testing.assert_array_equal(
                     got, black_scholes_call(self.SPOT, k, self.RATE, t, v))
                 continue
-            # n of each; evaluating both tails at both sides took 2n of each
-            assert kernel_points == {"sf": n, "cdf": n}
+            # n of each; evaluating both tails at both sides took 2n of each.
+            # Tails a kernel put below the floor are evaluated again, not the
+            # other tail
+            assert kernel_points["sf"] == kernel_points["cdf"] == n
+            assert kernel_points["again"] <= n
             assert np.array_equal(got, four_tail_prices(m, self.SPOT, t, self.RATE, k))
 
     def test_prices_match_mpmath_table(self, mpmath_table_rows):
@@ -539,6 +547,28 @@ class TestPriceProperties:
         ts = t * (1.0 + later * np.linspace(0.0, 1.0, 5))
         prices = chain_prices(model, 100.0, ts, rate, strike)
         assert np.all(np.diff(prices) >= -PRICE_TOL)
+
+    @given(name=st.sampled_from(("cev", "mfcev", "msfcev")),
+           alpha=st.floats(0.0, 1.99), t=st.floats(0.05, 5.0),
+           vol=st.floats(0.1, 0.8), hurst=st.floats(0.5, 0.95), rate=rates,
+           log_k=st.floats(math.log(0.25), math.log(4.0)))
+    @settings(max_examples=100, deadline=1000)
+    def test_payoff_quadrature_matches_price(self, name, alpha, t, vol, hurst,
+                                             rate, log_k):
+        # the independent oracle: the discounted payoff against the
+        # transition density, wherever the price is a normal float64 well
+        # above the underflow, and E[S_T] e^(-rT) = S0 at K = 0
+        m = make(name, alpha=alpha, hurst=hurst,
+                 sigma=vol * 100.0 ** (1.0 - 0.5 * alpha)
+                 / (1.0 if name == "cev" else math.sqrt(2.0)))
+        env = MarketEnv(rate=rate, spot=100.0)
+        strike = 100.0 * math.exp(log_k)
+        price = call_price(m, env, t, strike)
+        if price >= 1e-250:
+            assert quadrature_price(m, env, t, strike) == pytest.approx(
+                price, rel=1e-6, abs=0.0)
+        assert quadrature_price(m, env, t, 0.0) == pytest.approx(
+            100.0, rel=1e-8, abs=0.0)
 
 
 class TestCallPrice:
@@ -625,6 +655,25 @@ class TestCallPrice:
         m = make("msfcev", sigma=30.0, alpha=0.0, hurst=0.75)
         price = call_price(m, MarketEnv(rate=0.05, spot=100.0), 0.25, 400.0)
         assert price == pytest.approx(ref, rel=1e-6, abs=0.0)
+
+    # msfcev, H 0.75, r 0.05, S0 100: (sigma, alpha, T, K, price), the price
+    # the chi-squared formula gives from these float inputs at 60 digits
+    # (perfbench/mpmath_table.py's cev_call).  Their tails lie where the
+    # kernels lose digits; before the quadrature took those tails they
+    # priced 1.029e-157, 0, 1.553e-113, 1.477e-136 and 0
+    DEEP_OTM = [
+        (0.3, 1.2, 0.5, 250.0, 1.0608535428334913985e-160),
+        (0.3, 1.2, 0.5, 300.0, 2.5452734832029945646e-250),
+        (10.0, 0.0, 1.0, 400.0, 2.1770289539345088068e-116),
+        (3.35, 0.5, 0.1, 200.0, 2.9409641425800888689e-136),
+        (1.0, 1.0, 0.1, 250.0, 2.5637628490973377132e-248),
+    ]
+
+    @pytest.mark.parametrize("sigma,alpha,t,strike,ref", DEEP_OTM)
+    def test_deep_otm_tails_match_mpmath(self, sigma, alpha, t, strike, ref):
+        m = make("msfcev", sigma=sigma, alpha=alpha, hurst=0.75)
+        price = call_price(m, MarketEnv(rate=0.05, spot=100.0), t, strike)
+        assert price == pytest.approx(ref, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("name", ["msfcev", "bs"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -10,8 +10,8 @@ from scipy.stats import ncx2
 
 from msfcev.errors import DomainError
 from msfcev.pricing import MarketEnv, ModelSpec, cev_intermediates
-from msfcev.specfun import (_SERIES_NC_MAX, _tail_quadrature, bessel_i_scaled,
-                            chi2_noncentral_sf_cdf, log_gamma)
+from msfcev.specfun import (_KERNEL_FLOOR, _SERIES_NC_MAX, _tail_quadrature,
+                            bessel_i_scaled, chi2_noncentral_sf_cdf, log_gamma)
 
 
 def brute_bessel_series(order, z, terms=3000):
@@ -386,6 +386,60 @@ class TestChi2Noncentral:
         np.testing.assert_allclose(public[above], refs[above], rtol=1e-13)
         np.testing.assert_allclose(public[~above], refs[~above], rtol=1e-11)
 
+    # (x, df, nc, upper, tail) below the kernel floor: 40-digit mpmath
+    # Poisson mixtures.  The first three are the tails of msfcev sigma 0.3,
+    # alpha 1.2, T 0.5 at K 250 and 300, the fourth the cdf at msfcev
+    # alpha 0, sigma 10, T 1, K 400.  The kernels put 0, or a value 0.03-8%
+    # off, on all but the first, the second from last and the last; the
+    # last, at nc < 1, stays Boost's
+    DEEP = [
+        (8061.371350918375, 4.5, 3951.325528046591, True,
+         1.02941313658749612913469863686e-159),
+        (3951.325528046591, 2.5, 8061.371350918375, False,
+         4.217540580126038543180613375e-160),
+        (9327.256594244434, 4.5, 3951.325528046591, True,
+         3.32299285173182772739173234195e-249),
+        (66.51198468648684, 1.0, 962.9205198746885, False,
+         4.07691433346660767766915342771e-116),
+        (30.0, 1.25, 900.0, False, 3.4117154518937586658743135613e-133),
+        (300.0, 3.6667, 2000.0, False, 3.77009587538756525956977927535e-166),
+        (82.419, 202.0, 756.56, False, 2.41398804367110083782789083063e-133),
+        (11.802, 102.0, 421.53, False, 8.00287639790543099939803204232e-113),
+        (1814.19, 1.6667, 80.44, True, 6.19195793601445051978724695824e-248),
+        (29696.6, 22.0, 20848.9, True, 3.1651408538714453112961559736e-171),
+        (1500.0, 2.5, 10.0, True, 1.45806632475495364349770594679e-276),
+        (600.0, 1.25, 0.5, True, 3.49162124749662845559457240723e-125),
+    ]
+
+    def test_deep_tails_match_mpmath(self):
+        xs, dfs, ncs, uppers, refs = (np.array(v) for v in zip(*self.DEEP))
+        quad = _tail_quadrature(xs, dfs, ncs, uppers)
+        np.testing.assert_allclose(quad[:-1], refs[:-1], rtol=1e-14)
+        public = chi2_noncentral_sf_cdf(xs, dfs, ncs, upper=uppers)
+        np.testing.assert_allclose(public, refs, rtol=1e-14)
+        for x, df, nc, upper, ref in self.DEEP:
+            assert chi2_noncentral_sf_cdf(x, df, nc, upper=upper) == pytest.approx(
+                ref, rel=1e-14, abs=0.0)
+        # below nc = 1 the survival function is Boost's, bit for bit
+        assert public[-1] == _ncx2_sf(*self.DEEP[-1][:3])
+
+    def test_tails_above_the_floor_stay_the_kernels(self):
+        # the route to the quadrature changes no tail a kernel puts at or
+        # above 1e-60; a tail under it goes there, and a cdf at x = 0 is 0
+        xs = np.array([50.0, 260.0, 600.0, 900.0])
+        kernel = _ncx2_sf(xs, 3.0, 20.0)
+        assert (kernel[:2] >= _KERNEL_FLOOR).all()
+        assert (kernel[2:] < _KERNEL_FLOOR).all()
+        sf = chi2_noncentral_sf_cdf(xs, 3.0, 20.0, upper=True)
+        np.testing.assert_array_equal(sf[:2], kernel[:2])
+        np.testing.assert_array_equal(
+            sf[2:], _tail_quadrature(xs[2:], np.full(2, 3.0), np.full(2, 20.0),
+                                     np.full(2, True)))
+        xs = np.array([0.0, 0.05, 0.5])
+        cdf = chi2_noncentral_sf_cdf(xs, 3.0, 20.0, upper=False)
+        np.testing.assert_array_equal(cdf, chndtr(xs, 3.0, 20.0))
+        assert cdf[0] == 0.0
+
     def test_quadrature_meets_kernels_below_large_noncentrality(self):
         # where the series kernels still converge, the density quadrature
         # that takes over above nc = 1e5 agrees with them within a standard
@@ -434,7 +488,8 @@ class TestChi2Noncentral:
             assert chi2_noncentral_sf_cdf(x, df, nc, upper=True) == float(
                 ncx2.sf(x, df, nc))
         xs, dfs, ncs = np.array(xs), np.array(dfs), np.array(ncs)
-        series = ncs <= _SERIES_NC_MAX
+        # tails below the kernel floor go to the quadrature as well
+        series = (ncs <= _SERIES_NC_MAX) & (ncx2.sf(xs, dfs, ncs) >= _KERNEL_FLOOR)
         assert not series.all()
         xs, dfs, ncs = xs[series], dfs[series], ncs[series]
         sf = chi2_noncentral_sf_cdf(xs, dfs, ncs, upper=True)

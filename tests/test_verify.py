@@ -396,15 +396,12 @@ class TestQuadraturePrice:
         closed = call_price(m, env100, t, 100.0)
         assert quad == pytest.approx(closed, rel=1e-6)
 
-    # the oracle's two known faults: at alpha 1.9 the one breakpoint misses
-    # the density's peak, and at K 250 the upper cutoff lies below the
-    # payoff's mass; a repaired oracle turns these into passes
+    # two former faults: near alpha 2 an integral in S over [K, s_hi] with
+    # one breakpoint missed the density's peak (0.127 for 17.117), and at
+    # K 250 the closed form's chi-squared tails were lost (1.03e-157 for
+    # 1.06e-160, which the old oracle had right)
     @pytest.mark.parametrize("sigma,alpha,t,strike", [
-        pytest.param(0.376, 1.9, 1.0, 100.0, marks=pytest.mark.xfail(
-            strict=True, reason="quadrature misses the peak near alpha 2")),
-        pytest.param(0.3, 1.2, 0.5, 250.0, marks=pytest.mark.xfail(
-            strict=True, reason="upper cutoff below the payoff's mass")),
-    ])
+        (0.376, 1.9, 1.0, 100.0), (0.3, 1.2, 0.5, 250.0)])
     def test_known_fault_matches_closed_form(self, env100, sigma, alpha, t,
                                              strike):
         m = ModelSpec.make("msfcev", sigma=sigma, alpha=alpha, hurst=0.75)
@@ -448,6 +445,58 @@ class TestQuadraturePrice:
         quad = quadrature_price(m, env100, 0.5, strike)
         closed = call_price(m, env100, 0.5, strike)
         assert quad == pytest.approx(closed, rel=1e-6, abs=0.0)
+
+    @pytest.mark.parametrize("strike", [100.0, 0.0, 250.0])
+    def test_one_density_call_per_price(self, env100, monkeypatch, strike):
+        # every node of the panel rule goes through one array call
+        shapes = []
+        density = verify._density
+
+        def counted(a, k_s, y_s, w):
+            shapes.append(np.shape(w))
+            return density(a, k_s, y_s, w)
+
+        monkeypatch.setattr(verify, "_density", counted)
+        m = ModelSpec.make("msfcev", sigma=0.3, alpha=1.2, hurst=0.75)
+        quadrature_price(m, env100, 0.5, strike)
+        assert len(shapes) == 1
+        assert shapes[0][1] == 15 and shapes[0][0] >= 5
+
+    def test_kronrod_rule(self):
+        # the embedded rule is 7-point Gauss-Legendre, and the 15-node
+        # Kronrod rule integrates x^k exactly through k = 23
+        gauss = verify._GAUSS_WEIGHTS > 0.0
+        nodes, weights = np.polynomial.legendre.leggauss(7)
+        np.testing.assert_allclose(verify._KRONROD_NODES[gauss], nodes,
+                                   rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(verify._GAUSS_WEIGHTS[gauss], weights,
+                                   rtol=0.0, atol=1e-15)
+        for k in range(24):
+            exact = (1.0 - (-1.0) ** (k + 1)) / (k + 1)
+            assert verify._KRONROD_WEIGHTS @ verify._KRONROD_NODES ** k == \
+                pytest.approx(exact, abs=1e-15)
+
+    def test_error_estimate_raises(self, env100, monkeypatch):
+        # a density the rule cannot integrate: noise on the nodes parts the
+        # Kronrod and Gauss values far beyond 1e-6 of the price
+        density = verify._density
+        rng = np.random.default_rng(0)
+        monkeypatch.setattr(verify, "_density", lambda *args: density(*args)
+                            * rng.uniform(0.5, 1.5, np.shape(args[-1])))
+        m = ModelSpec.make("msfcev", sigma=0.3, alpha=1.2, hurst=0.75)
+        with pytest.raises(NumericalError, match="did not converge"):
+            quadrature_price(m, env100, 0.5, 100.0)
+        monkeypatch.setattr(verify, "_density", lambda *args: density(*args)
+                            * math.nan)
+        with pytest.raises(NumericalError, match="did not converge"):
+            quadrature_price(m, env100, 0.5, 100.0)
+
+    def test_subnormal_value_does_not_trip_the_estimate(self, env100):
+        # a price below float64's smallest normal number carries too few
+        # digits for a relative error test; the oracle returns it
+        m = ModelSpec.make("msfcev", sigma=0.3, alpha=1.2, hurst=0.75)
+        value = quadrature_price(m, env100, 0.5, 336.0)
+        assert 0.0 < value < np.finfo(np.float64).tiny
 
     def test_zero_strike_recovers_spot(self, env100):
         m = ModelSpec.make("msfcev", sigma=0.3, alpha=1.2, hurst=0.75)
