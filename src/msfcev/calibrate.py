@@ -26,7 +26,7 @@ import os
 import logging
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import optimize
@@ -131,17 +131,7 @@ class CalibrationReport:
     jac_cond: dict
 
     def to_json(self) -> str:
-        return json.dumps({
-            "mode": self.mode,
-            "fitted": self.fitted,
-            "mse_per_maturity": self.mse_per_maturity,
-            "total_mse": self.total_mse,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "evaluations": self.evaluations,
-            "stderr": self.stderr,
-            "jac_cond": self.jac_cond,
-        }, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
 
 @dataclass(frozen=True)
@@ -622,11 +612,6 @@ def synthetic_chain(model: ModelSpec, env: MarketEnv, maturities,
 
 
 def comparison_to_json(rows) -> str:
-    return json.dumps([{
-        "model": r.model,
-        "failed": r.failed,
-        "total_mse": None if math.isnan(r.total_mse) else r.total_mse,
-        "mse_per_maturity": r.mse_per_maturity,
-        "fitted": r.fitted,
-        "error": r.error,
-    } for r in rows], indent=2)
+    # JSON has no NaN: a failed row's total_mse goes out as null
+    return json.dumps([{**asdict(r), "total_mse": None if math.isnan(r.total_mse)
+                        else r.total_mse} for r in rows], indent=2)

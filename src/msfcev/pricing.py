@@ -43,7 +43,7 @@ import numpy as np
 from scipy import special
 
 from . import specfun
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .process import MixedDriverParams
 
 __all__ = [
@@ -213,10 +213,7 @@ def diffusion_kernel(driver: Driver, hurst: float, t: float) -> float:
         raise DomainError(f"time must be >= 0, got {t!r}")
     if driver == Driver.CLASSICAL:
         return 0.5
-    value = hurst * t ** (2.0 * hurst - 1.0)
-    if driver == Driver.MIXED_SUB_FRACTIONAL:
-        value *= 2.0 - 2.0 ** (2.0 * hurst - 1.0)
-    return value
+    return hurst * t ** (2.0 * hurst - 1.0) * _subfractional_weight(driver, hurst)
 
 
 def _subfractional_weight(driver: Driver, hurst: float) -> float:
@@ -243,6 +240,24 @@ def driver_variance(driver: Driver, params: MixedDriverParams, t):
 def _check_cev(model: ModelSpec) -> None:
     if model.family != Family.CEV:
         raise DomainError("operation defined for the CEV family only")
+
+
+def _check_not_nan(model: ModelSpec, values, maturities, what: str) -> None:
+    """Raise ``NumericalError`` naming the model and maturity of a NaN value.
+
+    Near alpha = 2 with a wide distribution the Bessel function of the
+    transition law has no float64 evaluation (see
+    :func:`specfun.bessel_i_scaled`), and a NaN must not pass for a number.
+    """
+    bad = np.isnan(values)
+    if bad.any():
+        name = next(k for k, v in MODEL_NAMES.items()
+                    if v == (model.family, model.driver))
+        t = float(np.broadcast_to(maturities, bad.shape)[bad][0])
+        raise NumericalError(
+            f"{name} {what} is NaN at maturity {t!r} (alpha {model.alpha!r}): "
+            "the Bessel function of the transition law has no float64 "
+            "evaluation there")
 
 
 def _phi(model: ModelSpec, rate, maturity):
@@ -283,12 +298,11 @@ def cev_intermediates(model: ModelSpec, env: MarketEnv, maturity: float,
     """Chi-squared coordinates k_s, y_s, z_s for one evaluation."""
     if not 0.0 < strike < math.inf:
         raise DomainError(f"strike must be positive and finite, got {strike!r}")
-    phi = effective_variance(model, env, maturity)
-    a = model.alpha
-    k_s = 1.0 / phi
-    y_s = k_s * env.spot ** (2.0 - a) * math.exp(env.rate * (2.0 - a) * maturity)
-    z_s = k_s * strike ** (2.0 - a)
-    return PricingIntermediates(phi=phi, k_s=k_s, y_s=y_s, z_s=z_s)
+    _check_cev(model)
+    _check_maturity(maturity)
+    phi, y, z = map(float, _cev_coordinates(model, env.spot, maturity, env.rate,
+                                            strike))
+    return PricingIntermediates(phi=phi, k_s=1.0 / phi, y_s=y, z_s=z)
 
 
 def transition_density(model: ModelSpec, env: MarketEnv, maturity: float,
@@ -308,9 +322,9 @@ def transition_density(model: ModelSpec, env: MarketEnv, maturity: float,
     s_t = np.asarray(terminal_price, dtype=np.float64)
     if not np.all((s_t > 0.0) & np.isfinite(s_t)):
         raise DomainError("terminal price must be positive and finite")
-    ints = cev_intermediates(model, env, maturity, strike=1.0)
-    out = _density(model.alpha, ints.k_s, ints.y_s,
-                   ints.k_s * s_t ** (2.0 - model.alpha))
+    phi, y, w = _cev_coordinates(model, env.spot, maturity, env.rate, s_t)
+    out = _density(model.alpha, 1.0 / phi, y, w)
+    _check_not_nan(model, out, maturity, "density")
     return float(out) if np.ndim(terminal_price) == 0 else out
 
 
@@ -321,7 +335,7 @@ def _density(a: float, k_s, y_s, w):
     point per quote of a chain.
     """
     nu = 1.0 / (2.0 - a)
-    sqrt_y = y_s ** 0.5  # a float stays a float: no numpy call per quadrature node
+    sqrt_y = y_s ** 0.5
     sqrt_w = np.sqrt(w)
     ive = specfun.bessel_i_scaled(nu, 2.0 * sqrt_y * sqrt_w)
     log_pref = (math.log(2.0 - a) + nu * np.log(k_s)
@@ -392,17 +406,16 @@ def _chain_arrays(spot: float, maturities, rates, strikes):
 
 
 def _cev_coordinates(model: ModelSpec, spot: float, t, r, k):
-    """Phi and the chi-squared coordinates y, z of every quote.
+    """Phi and the chi-squared coordinates y, z over arrays (or scalars).
 
-    y = S0^(2-alpha) e^((2-alpha) r T) / Phi and z = K^(2-alpha) / Phi, as
-    in :func:`cev_intermediates`, broadcast to one entry per quote.
+    y = S0^(2-alpha) e^((2-alpha) r T) / Phi takes the shape of ``t`` and
+    ``r``, and z = K^(2-alpha) / Phi that of all three quote arguments.
     """
     a = model.alpha
     phi = _phi(model, r, t)
     k_s = 1.0 / phi
-    y, z = np.broadcast_arrays(k_s * spot ** (2.0 - a) * np.exp(r * (2.0 - a) * t),
-                               k_s * k ** (2.0 - a))
-    return phi, y, z
+    return (phi, k_s * spot ** (2.0 - a) * np.exp(r * (2.0 - a) * t),
+            k_s * k ** (2.0 - a))
 
 
 def chain_prices(model: ModelSpec, spot: float, maturities, rates,
@@ -421,7 +434,7 @@ def chain_prices(model: ModelSpec, spot: float, maturities, rates,
         v = model.sigma ** 2 * driver_variance(model.driver, model.driver_params, t)
         return black_scholes_call(spot, k, r, t, v)
     _, y, z = _cev_coordinates(model, spot, t, r, k)
-    two_y, two_z = 2.0 * y, 2.0 * z
+    two_y, two_z = np.broadcast_arrays(2.0 * y, 2.0 * z)
     df0 = 2.0 / (2.0 - model.alpha)
     n = two_y.size
     discounted_strike = k * np.exp(-r * t)
@@ -431,7 +444,9 @@ def chain_prices(model: ModelSpec, spot: float, maturities, rates,
         np.repeat((2.0 + df0, df0), n),
         np.concatenate((two_y, two_z)),
         upper=np.concatenate((~itm, itm)))
-    return _assemble_call(spot, discounted_strike, itm, tails[:n], tails[n:])
+    prices = _assemble_call(spot, discounted_strike, itm, tails[:n], tails[n:])
+    _check_not_nan(model, prices, t, "price")
+    return prices
 
 
 _HURST_STEP = 1e-6  # central-difference step of M(1, 1+2H, z) in H

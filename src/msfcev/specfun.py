@@ -16,9 +16,10 @@ for Bessel I, and for the chi-squared tails Boost's survival function
 ``scipy.stats.ncx2.sf``) and ``scipy.special.chndtr``, each of which keeps
 relative accuracy in its own tail down to about 1e-60; above a
 non-centrality of 1e5, and below 1e-60 from nc = 1 up, the tail is a
-Gauss-Legendre quadrature of the density.  The Kummer functions
-of the effective variance come from ``scipy.special.hyp1f1`` in
-:mod:`msfcev.pricing`.
+Gauss-Legendre quadrature of the density, one batch of points per call.
+Scalar arguments take the same array path and come back as floats.  The
+Kummer functions of the effective variance come from
+``scipy.special.hyp1f1`` in :mod:`msfcev.pricing`.
 
 Everything here is pure and reentrant.
 """
@@ -51,17 +52,11 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def _checked(value, ok, message: str):
-    """``value`` as a float or float64 array, with ``DomainError`` where ``ok`` fails.
+def _checked(value, ok, message: str) -> np.ndarray:
+    """``value`` as a float64 array, with ``DomainError`` where ``ok`` fails.
 
-    Scalars stay Python floats: numpy's per-call overhead on 0-d arrays
-    would dominate the scalar calls that quadrature makes.
+    Always an array, 0-d for a scalar: scalars take the array path too.
     """
-    if np.ndim(value) == 0:
-        v = float(value)
-        if not ok(v):
-            raise DomainError(f"{message}, got {v!r}")
-        return v
     v = np.asarray(value, dtype=np.float64)
     # each ok is an interval, so its two ends decide it; NaN fails both
     if v.size and not (ok(v.min()) and ok(v.max())):
@@ -92,16 +87,12 @@ def bessel_i_scaled(order, z):
     """
     order = _checked(order, lambda v: v >= 0.0, "bessel_i_scaled requires order >= 0")
     z = _checked(z, _finite_non_negative, "bessel_i_scaled requires finite z >= 0")
-    out = _float_if_scalar(special.ive(order, z))
-    if isinstance(out, float):  # one quadrature node: no array operations
-        if math.isnan(out):
-            out = float(_ive_hankel(np.array([order]), np.array([z]))[0])
-        return out
+    out = np.asarray(special.ive(order, z))  # a 0-d ufunc result is a numpy scalar
     refused = np.isnan(out)
     if refused.any():
         order_b, z_b = np.broadcast_arrays(order, z)
         out[refused] = _ive_hankel(order_b[refused], z_b[refused])
-    return out
+    return _float_if_scalar(out)
 
 
 def _ive_hankel(order: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -155,12 +146,14 @@ def chi2_noncentral_sf_cdf(x, df, noncentrality, upper):
     relative accuracy.  Two edges follow ``scipy.stats.ncx2.sf``, bit for
     bit: the survival function is 1 at x = 0 (where Boost returns -0.0),
     and at nc = 0 it is the central ``chdtrc`` (Boost's non-central tail is
-    an ulp off there).  Above nc = 1e5, where both series grow slow and
-    inexact, either tail is a quadrature of the density
-    (:func:`_tail_quadrature`), and so is any tail a kernel puts below
-    1e-60 at nc >= 1: there both kernels lose digits, and return exactly 0
-    for some tails far above float64's floor.  Returns an array (a float
-    when every argument is scalar).
+    an ulp off there).  The kernels run only up to nc = 1e5.  Every other
+    point goes to one quadrature of the density
+    (:func:`_tail_quadrature`), in one call: either tail above nc = 1e5,
+    where both series grow slow and inexact, and any tail a kernel puts
+    below 1e-60 at nc >= 1, where both kernels lose digits and return
+    exactly 0 for some tails far above float64's floor.  A call with no
+    such point makes no quadrature.  Returns an array (a float when every
+    argument is scalar).
     """
     x = _checked(x, _finite_non_negative,
                  "chi-squared argument must be finite and >= 0")
@@ -168,16 +161,10 @@ def chi2_noncentral_sf_cdf(x, df, noncentrality, upper):
                   "degrees of freedom must be positive")
     nc = _checked(noncentrality, _finite_non_negative, "non-centrality must be >= 0")
     upper = np.asarray(upper, dtype=bool)
-    sf_inside = upper & np.greater(x, 0.0)
-    lower = ~upper
     out = np.ones(np.broadcast(x, df, nc, upper).shape)
-    if np.max(nc) > _SERIES_NC_MAX:
-        series = np.less_equal(nc, _SERIES_NC_MAX)
-        far = ~np.broadcast_to(series, out.shape)
-        out[far] = _tail_quadrature(*(np.broadcast_to(v, out.shape)[far]
-                                      for v in (x, df, nc, upper)))
-        sf_inside = sf_inside & series
-        lower = lower & series
+    series = np.less_equal(nc, _SERIES_NC_MAX)
+    sf_inside = upper & np.greater(x, 0.0) & series
+    lower = ~upper & series
     central = np.equal(nc, 0.0)
     if central.any():
         special.chdtrc(df, x, out=out, where=sf_inside & central)
@@ -188,11 +175,12 @@ def chi2_noncentral_sf_cdf(x, df, noncentrality, upper):
     # both kernels lose their digits deep in the tails: chndtr's lower tails
     # are up to 10% off from about 1e-60 down, Boost's upper ones from about
     # 1e-160, and either returns exactly 0 for some tails far above
-    # float64's floor; there the quadrature takes over where it holds
-    if out.min(initial=1.0) < _KERNEL_FLOOR:
-        deep = ((out < _KERNEL_FLOOR) & np.greater_equal(nc, 1.0)
-                & (sf_inside | (lower & np.greater(x, 0.0))))
-        out[deep] = _tail_quadrature(*(np.broadcast_to(v, out.shape)[deep]
+    # float64's floor; there the quadrature takes over where it holds, in
+    # the same call as every point above the series' range
+    if not series.all() or out.min(initial=1.0) < _KERNEL_FLOOR:
+        quad = ~series | ((out < _KERNEL_FLOOR) & np.greater_equal(nc, 1.0)
+                          & (sf_inside | (lower & np.greater(x, 0.0))))
+        out[quad] = _tail_quadrature(*(np.broadcast_to(v, out.shape)[quad]
                                        for v in (x, df, nc, upper)))
     return _float_if_scalar(out)
 

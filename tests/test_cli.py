@@ -108,6 +108,21 @@ class TestDensity:
         assert np.all(data[:, 1] >= 0.0)
 
 
+class TestNearAlphaTwo:
+    # the Bessel factor has no float64 evaluation at this point
+    POINT = ["--model", "cev", "--sigma", "1.5", "--alpha", "1.999999",
+             "--rate", "0.05", "--spot", "100", "--maturity", "20"]
+
+    @pytest.mark.parametrize("command", [["price", "--strike", "100"],
+                                         ["density"]])
+    def test_nan_exits_one_with_empty_stdout(self, capsys, command):
+        code, out, err = run(capsys, command[:1] + self.POINT + command[1:])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cev ") and "NaN" in err
+        assert len(err.strip().splitlines()) == 1
+
+
 class TestSimulate:
     ARGS = ["simulate", "--times", "0,0.5,1", "--hurst", "0.7",
             "--n-paths", "4", "--seed", "11"]

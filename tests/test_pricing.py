@@ -12,7 +12,7 @@ from scipy.special import ive
 from scipy.stats import norm
 
 from msfcev import pricing, specfun
-from msfcev.errors import DomainError
+from msfcev.errors import DomainError, NumericalError
 from msfcev.pricing import (MODEL_NAMES, Driver, Family, MarketEnv, ModelSpec,
                             black_scholes_call, call_price, call_prices,
                             cev_intermediates, chain_prices, diffusion_kernel,
@@ -297,6 +297,14 @@ class TestTransitionDensity:
         with pytest.raises(DomainError, match="finite"):
             transition_density(m, env100, 1.0, np.array([90.0, bad]))
 
+    def test_nan_near_alpha_two_raises(self):
+        # at order 1e6 neither Amos nor Hankel's expansion evaluates the
+        # Bessel factor; the NaN is reported, not returned as a density
+        m = make("cev", sigma=1.5, alpha=1.999999)
+        env = MarketEnv(rate=0.05, spot=100.0)
+        with pytest.raises(NumericalError, match=r"cev density .* maturity 20\.0"):
+            transition_density(m, env, 20.0, np.array([50.0, 100.0]))
+
     def test_array_matches_pointwise(self, env100):
         m = make("msfcev", alpha=1.4, hurst=0.8)
         grid = np.linspace(20.0, 300.0, 57)
@@ -572,6 +580,16 @@ class TestPriceProperties:
 
 
 class TestCallPrice:
+    def test_nan_near_alpha_two_raises(self):
+        # both chi-squared tails lean on a Bessel factor no method evaluates
+        # there: a NaN price is an error naming the model and maturity
+        m = make("cev", sigma=1.5, alpha=1.999999)
+        env = MarketEnv(rate=0.05, spot=100.0)
+        with pytest.raises(NumericalError, match=r"cev price .* maturity 20\.0"):
+            call_price(m, env, 20.0, 100.0)
+        with pytest.raises(NumericalError, match=r"maturity 20\.0"):
+            call_prices(m, env, 20.0, np.array([80.0, 100.0, 120.0]))
+
     def test_black_scholes_textbook(self):
         env = MarketEnv(rate=0.0, spot=100.0)
         m = make("bs")

@@ -8,8 +8,9 @@ from scipy.special import chndtr, gammaln, hyp1f1, ive
 from scipy.special._ufuncs import _ncx2_sf
 from scipy.stats import ncx2
 
+from msfcev import specfun
 from msfcev.errors import DomainError
-from msfcev.pricing import MarketEnv, ModelSpec, cev_intermediates
+from msfcev.pricing import MarketEnv, ModelSpec, call_prices, cev_intermediates
 from msfcev.specfun import (_KERNEL_FLOOR, _SERIES_NC_MAX, _tail_quadrature,
                             bessel_i_scaled, chi2_noncentral_sf_cdf, log_gamma)
 
@@ -65,6 +66,8 @@ class TestBesselI:
         assert bessel_i_scaled(0.0, 0.0) == 1.0
         assert bessel_i_scaled(2.0, 3.0) == pytest.approx(
             brute_bessel_series(2.0, 3.0) * math.exp(-3.0), rel=1e-12)
+        # scalars take the array path and come back as Python floats
+        assert type(bessel_i_scaled(2.0, 3.0)) is float
 
     @pytest.mark.parametrize("order", [0.0, 0.5, 1.0, 2.0, 7.5, 50.0, 200.0])
     @pytest.mark.parametrize("z", [1e-6, 0.1, 1.0, 10.0, 29.9, 30.1, 120.0, 700.0])
@@ -454,6 +457,42 @@ class TestChi2Noncentral:
                                             np.full(5, upper))
                     np.testing.assert_allclose(quad, kernel(xs, df, nc),
                                                rtol=1e-11)
+
+    @staticmethod
+    def _count_quadratures(monkeypatch):
+        calls = []
+        real = specfun._tail_quadrature
+
+        def counted(*args):
+            calls.append(args[0].size)
+            return real(*args)
+
+        monkeypatch.setattr(specfun, "_tail_quadrature", counted)
+        return calls
+
+    def test_one_quadrature_call_per_batch(self, monkeypatch):
+        # points above nc = 1e5 and kernel tails below 1e-60 go to the
+        # quadrature together, in one call, with the bits each point gets
+        # on its own; the kernel points in the batch (two ordinary tails,
+        # and DEEP's last row, below nc = 1) stay out of it
+        rows = self.LARGE_NC + self.DEEP + [
+            (4.0, 3.0, 2.0, True, None), (30.0, 4.0, 20.0, False, None)]
+        xs, dfs, ncs, uppers, _ = (np.array(v) for v in zip(*rows))
+        alone = [chi2_noncentral_sf_cdf(*row[:3], upper=row[3]) for row in rows]
+        calls = self._count_quadratures(monkeypatch)
+        batch = chi2_noncentral_sf_cdf(xs, dfs, ncs, upper=uppers)
+        assert calls == [len(rows) - 3]
+        np.testing.assert_array_equal(batch, alone)
+
+    def test_common_slice_makes_no_quadrature(self, monkeypatch):
+        # a slice of the usual kind, strikes 10 to 600 on a spot of 100 at
+        # moderate alpha, has no nc above 1e5 and no tail below 1e-60
+        calls = self._count_quadratures(monkeypatch)
+        model = ModelSpec.make("msfcev", sigma=3.0, alpha=1.2, hurst=0.75)
+        prices = call_prices(model, MarketEnv(rate=0.03, spot=100.0), 0.5,
+                             np.geomspace(10.0, 600.0, 40))
+        assert np.isfinite(prices).all()
+        assert calls == []
 
     def test_scalar_api_returns_floats(self):
         sf = chi2_noncentral_sf_cdf(4.0, 3.0, 2.0, upper=True)
