@@ -15,6 +15,10 @@ residuals, in a logistic reparameterization of the bounded box, from
 scrambled-Sobol starting points; deterministic for a given seed.  Its
 Jacobian is analytic in sigma and H (:func:`msfcev.pricing.clock_gradient`)
 and a forward difference in alpha.
+
+The starting points are generated in this module and are identical, bit
+for bit, to ``scipy.stats.qmc.Sobol(d, scramble=True, seed=seed)``, so a
+fit never imports ``scipy.stats``.  Seeds are unsigned 64-bit integers.
 """
 
 from __future__ import annotations
@@ -64,6 +68,12 @@ PARAM_BOUNDS = {
 }
 _MATURITY_DECIMALS = 6  # grouping key resolution in years
 
+# Joe and Kuo's primitive polynomials and initial direction numbers for the
+# first three Sobol dimensions, enough for the at most three free parameters
+_SOBOL_BITS = 30
+_SOBOL_POLY = (1, 3, 7)
+_SOBOL_VINIT = ((), (1,), (1, 3))
+
 
 @dataclass(frozen=True)
 class MarketQuote:
@@ -103,8 +113,10 @@ class OptimizerConfig:
     polish_maxiter: int = 1500
 
     def __post_init__(self) -> None:
-        if self.n_starts < 1:
-            raise DomainError("n_starts must be >= 1")
+        if not 1 <= self.n_starts <= 2 ** _SOBOL_BITS:
+            raise DomainError(f"n_starts must be in [1, 2**{_SOBOL_BITS}]")
+        if not 0 <= self.seed < 2 ** 64:
+            raise DomainError("seed must be an unsigned 64-bit integer")
 
 
 @dataclass(frozen=True)
@@ -412,6 +424,47 @@ class _Solution:
     jac_cond: float | None
 
 
+def _sobol_directions(dim: int) -> np.ndarray:
+    """Sobol direction numbers, shape (dim, 30), as integers of 30 bits."""
+    v = np.ones((dim, _SOBOL_BITS), dtype=np.uint32)
+    for d in range(1, dim):
+        poly, vinit = _SOBOL_POLY[d], _SOBOL_VINIT[d]
+        m = len(vinit)
+        v[d, :m] = vinit
+        for j in range(m, _SOBOL_BITS):  # Bratley and Fox's recurrence
+            new = v[d, j - m]
+            for k in range(m):
+                if (poly >> (m - 1 - k)) & 1:
+                    new ^= v[d, j - k - 1] << (k + 1)
+            v[d, j] = new
+    return v << np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint32)
+
+
+def _scrambled_sobol(dim: int, n: int, seed: int) -> np.ndarray:
+    """The first ``n`` points of a scrambled Sobol sequence in [0, 1)^dim.
+
+    Linear matrix scrambling plus a digital shift, with the draws in the
+    order of ``scipy.stats.qmc.Sobol(d=dim, scramble=True, seed=seed)``,
+    whose ``random(n)`` this equals bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    weights = np.uint32(1) << np.arange(_SOBOL_BITS, dtype=np.uint32)
+    shift = rng.integers(0, 2, size=(dim, _SOBOL_BITS), dtype=np.uint32) @ weights
+    lms = np.tril(rng.integers(0, 2, size=(dim, _SOBOL_BITS, _SOBOL_BITS),
+                               dtype=np.uint32)) | np.eye(_SOBOL_BITS, dtype=np.uint32)
+    rows = lms @ weights[::-1]  # row p of each matrix as an integer
+    # the scrambled direction's bit 29 - p is the GF(2) product of row p
+    # with the direction
+    parity = np.bitwise_count(rows[:, :, None] & _sobol_directions(dim)[:, None, :]) & 1
+    directions = (parity * weights[::-1, None]).sum(axis=1, dtype=np.uint32)
+    # Gray-code order: point i is point i - 1 with the direction of the
+    # lowest set bit of i flipped in
+    i = np.arange(1, n, dtype=np.uint32)
+    lowest = np.bitwise_count(i ^ (i - 1)) - 1
+    steps = np.vstack([shift, directions[:, lowest].T])
+    return np.bitwise_xor.accumulate(steps, axis=0) * 2.0 ** -_SOBOL_BITS
+
+
 @functools.lru_cache(maxsize=64)
 def _sobol_starts(dim: int, n_starts: int, seed: int) -> np.ndarray:
     """Scrambled-Sobol starting points in the logistic coordinates, read-only.
@@ -419,14 +472,7 @@ def _sobol_starts(dim: int, n_starts: int, seed: int) -> np.ndarray:
     Cached, because a per-maturity fit and a model comparison ask for the
     same starts once per maturity or model.
     """
-    # imported here: scipy.stats costs more to import than the rest of the
-    # package, and only fits need it
-    from scipy.stats import qmc
-
-    sampler = qmc.Sobol(d=dim, scramble=True, seed=seed)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # Sobol balance warning for odd counts
-        unit = sampler.random(n_starts)
+    unit = _scrambled_sobol(dim, n_starts, seed)
     starts = logit(0.02 + 0.96 * unit)  # keep logits finite
     starts.flags.writeable = False
     return starts

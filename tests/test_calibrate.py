@@ -3,6 +3,7 @@ import json
 import logging
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -194,14 +195,35 @@ class TestFit:
         assert fitted["hurst"] == pytest.approx(0.7500000030512445, rel=1e-8)
 
     def test_sobol_starts_built_once_and_read_only(self):
-        from scipy.stats import qmc
-
         starts = cal._sobol_starts(3, 8, 42)
         assert cal._sobol_starts(3, 8, 42) is starts
         assert cal._sobol_starts(3, 8, 43) is not starts
         assert not starts.flags.writeable
-        unit = qmc.Sobol(d=3, scramble=True, seed=42).random(8)
+
+    @pytest.mark.parametrize("seed", [0, 7, 42, 2 ** 64 - 1])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 13])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_sobol_starts_equal_scipy_bit_for_bit(self, dim, n, seed):
+        from scipy.stats import qmc  # the reference, never loaded by a fit
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # balance warning for n not 2^m
+            unit = qmc.Sobol(d=dim, scramble=True, seed=seed).random(n)
+        starts = cal._sobol_starts(dim, n, seed)
+        assert starts.shape == (n, dim)
         assert np.array_equal(starts, logit(0.02 + 0.96 * unit))
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_uint64_rejected(self, seed):
+        with pytest.raises(DomainError, match="unsigned 64-bit integer"):
+            cal.OptimizerConfig(seed=seed)
+
+    @pytest.mark.parametrize("n_starts", [0, 2 ** 30 + 1])
+    def test_n_starts_outside_sobol_range_rejected(self, n_starts):
+        # the config alone: 2^30 starts are never generated
+        with pytest.raises(DomainError, match="n_starts"):
+            cal.OptimizerConfig(n_starts=n_starts)
+        assert cal.OptimizerConfig(n_starts=2 ** 30).n_starts == 2 ** 30
 
     def test_exhausted_budget_not_converged(self, small_chain):
         # the path behind the calibrate command's exit code 2

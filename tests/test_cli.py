@@ -16,6 +16,8 @@ PRICE_ARGS = ["price", "--model", "msfcev", "--sigma", "0.3", "--alpha", "1",
               "--hurst", "0.7", "--beta", "1", "--gamma", "1",
               "--rate", "0.05", "--spot", "100", "--strike", "100",
               "--maturity", "0.25"]
+SAMPLE_CHAIN = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir,
+                                            "data", "sample_chain.csv"))
 
 
 def run(capsys, argv):
@@ -272,6 +274,18 @@ class TestColdStart:
         assert self.loaded_by_cli_import("msfcev.verify", "scipy.integrate",
                                          argv=argv) == []
 
+    def test_calibrate_command_leaves_scipy_stats_out(self):
+        # the fit's Sobol starts are generated without scipy.stats
+        argv = ["calibrate", "--input", SAMPLE_CHAIN, "--model", "msfcev",
+                "--seed", "42", "--out", os.devnull]
+        assert self.loaded_by_cli_import("scipy.stats", argv=argv) == []
+
+    def test_compare_command_leaves_scipy_stats_out(self):
+        argv = ["compare", "--input", SAMPLE_CHAIN,
+                "--models", "bs,mfbs,msfbs,cev,mfcev,msfcev", "--seed", "42",
+                "--out", os.devnull]
+        assert self.loaded_by_cli_import("scipy.stats", argv=argv) == []
+
 
 class TestCalibrateCommand:
     def test_json_report_and_exit_zero(self, capsys, tmp_path, small_chain):
@@ -304,6 +318,13 @@ class TestCalibrateCommand:
         assert code == 1
         assert err.startswith("error: ")
 
+    def test_negative_seed_exit_one(self, capsys):
+        code, out, err = run(capsys, [
+            "calibrate", "--input", SAMPLE_CHAIN, "--model", "msfbs",
+            "--seed", "-1"])
+        assert (code, out) == (1, "")
+        assert err == "error: seed must be an unsigned 64-bit integer\n"
+
 
 class TestCompareCommand:
     def test_table(self, capsys, tmp_path, small_chain):
@@ -316,3 +337,10 @@ class TestCompareCommand:
         rows = json.loads(out)
         assert [r["model"] for r in rows] == ["bs", "cev"]
         assert all(not r["failed"] for r in rows)
+
+    def test_negative_seed_exit_one(self, capsys):
+        code, out, err = run(capsys, [
+            "compare", "--input", SAMPLE_CHAIN, "--models", "bs,cev",
+            "--seed", "-1"])
+        assert (code, out) == (1, "")
+        assert err == "error: seed must be an unsigned 64-bit integer\n"
