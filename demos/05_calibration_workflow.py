@@ -26,7 +26,7 @@ chain = cal.load_chain(str(target), moneyness_filter=True)
 print(f"reloaded {len(chain.quotes)} quotes "
       "(moneyness filter keeps strikes >= 95% of spot)")
 
-cfg = cal.OptimizerConfig(n_starts=8, seed=42)
+cfg = cal.OptimizerConfig(seed=42)  # one start, solved from the clock term structure
 print()
 print("joint fit of msfcev (true parameters sigma=2.5, alpha=0.8, H=0.75):")
 report = cal.fit(chain, "msfcev", "joint", cfg)

@@ -10,15 +10,27 @@ per model are
     cev           sigma, alpha
     mfcev, msfcev sigma, alpha, hurst
 
-The optimizer is multi-start trust-region least squares (TRF) on the price
-residuals, in a logistic reparameterization of the bounded box, from
-scrambled-Sobol starting points; deterministic for a given seed.  Its
-Jacobian is analytic in sigma and H (:func:`msfcev.pricing.clock_gradient`)
-and a forward difference in alpha.
+The optimizer is trust-region least squares (TRF) on the price
+residuals, in a logistic reparameterization of the bounded box;
+deterministic for a given seed.  Its Jacobian is analytic in sigma and H
+(:func:`msfcev.pricing.clock_gradient`) and a forward difference in alpha.
 
-The starting points are generated in this module and are identical, bit
-for bit, to ``scipy.stats.qmc.Sobol(d, scramble=True, seed=seed)``, so a
-fit never imports ``scipy.stats``.  Seeds are unsigned 64-bit integers.
+sigma and H move a price only through its clock X(T) = sigma^2 g(H)
+(Phi for the CEV family, the total variance for the BS family), so the
+first start is solved from the term structure of clocks:
+
+1. one least-squares solve over a common alpha and one log clock per
+   (maturity, rate) group, every quote priced at its group's clock;
+2. sigma and H read off those clocks with no pricing: a global search of
+   H over its box, sigma in closed form for each H;
+3. the joint least-squares solve from that point.
+
+That start lands in the global minimum where a single start from an
+arbitrary point can end in a local one (for msfCEV near H 0.85).  Any
+further starts are scrambled-Sobol points, generated in this module and
+identical, bit for bit, to ``scipy.stats.qmc.Sobol(d, scramble=True,
+seed=seed)``, so a fit never imports ``scipy.stats``.  Seeds are unsigned
+64-bit integers.
 """
 
 from __future__ import annotations
@@ -37,7 +49,8 @@ from scipy import optimize
 from scipy.special import expit, logit
 
 from .errors import CalibrationError, ChainFormatError, DomainError
-from .pricing import (MODEL_NAMES, Driver, MarketEnv, ModelSpec, chain_prices,
+from .pricing import (MODEL_NAMES, Driver, Family, MarketEnv, ModelSpec,
+                      _clock, _clock_slope, _prices_at_clock, chain_prices,
                       clock_gradient)
 
 __all__ = [
@@ -107,7 +120,15 @@ class OptionChain:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    n_starts: int = 8
+    """Starts and budgets of a fit.
+
+    Start 0 is the clock start (see the module docstring); starts 1 to
+    ``n_starts - 1`` are the first scrambled-Sobol points of ``seed``.
+    ``maxiter`` bounds the residual evaluations of each least-squares
+    solve, the clock start's first stage included.
+    """
+
+    n_starts: int = 1
     seed: int = 0
     maxiter: int = 400
     polish_maxiter: int = 1500
@@ -125,7 +146,7 @@ class CalibrationReport:
 
     ``iterations`` counts the optimizer's residual evaluations and
     ``evaluations`` every pricing call the fit made, the alpha Jacobian
-    column's included.  ``stderr`` (parameter standard errors) and
+    column's and the clock start's first stage included.  ``stderr`` (parameter standard errors) and
     ``jac_cond`` (condition number of the price Jacobian) are keyed like
     ``fitted``.  A standard error is None when a fit has no more quotes
     than parameters or a rank-deficient Jacobian, a condition number when
@@ -321,6 +342,12 @@ def mse_objective(model_name: str, params, chain: OptionChain) -> float:
 
 # scipy's relative step for a 2-point forward difference
 _FD_STEP = math.sqrt(np.finfo(float).eps)
+# H where a fit that cannot identify it (one maturity) starts
+_MID_HURST = 0.5 * sum(PARAM_BOUNDS["hurst"])
+_HURST_GRID = 65  # H values of the clock start's global search
+# the clock start's parameters stay this fraction of the box inside its
+# edges, where the logistic coordinates are infinite
+_EDGE = 1e-4
 
 
 def _box(names):
@@ -329,25 +356,63 @@ def _box(names):
     return lo, hi
 
 
-class _Problem:
-    """Scaled price residuals of one fit and their Jacobian, in logistic coordinates.
+def _to_box(u, lo, hi):
+    """The logistic map p = lo + span * expit(u), clipped to the box."""
+    return np.clip(lo + (hi - lo) * expit(u), lo, hi)
 
-    ``u`` maps onto the parameter box as p = lo + span * expit(u); the
-    residuals are (prices - mids) / sqrt(n_quotes), whose sum of squares is
-    the MSE.  ``evaluations`` counts the pricing calls made.
+
+class _ScaledResiduals:
+    """Price residuals (prices - mids) / sqrt(n_quotes), whose sum of squares is the MSE.
+
+    A subclass prices in ``_priced``; ``evaluations`` counts those calls.
     """
 
-    def __init__(self, model_name: str, names, quotes: _Quotes):
-        self.model_name = model_name
-        self.names = names
+    def __init__(self, quotes: _Quotes):
         self.quotes = quotes
-        self.lo, self.hi = _box(names)
         self.scale = 1.0 / math.sqrt(quotes.mids.size)
         self.evaluations = 0
         self._last = (None, None)  # u and residuals of the latest __call__
 
+    def __call__(self, u):
+        res = self._priced(u)
+        self._last = (np.array(u), res)
+        return res
+
+    def _forward_column(self, u, j):
+        """d residuals / du[j] by scipy's 2-point forward difference.
+
+        The step is sqrt(eps) * max(1, |u[j]|) with the sign of u[j].
+        scipy calls ``jac(u)`` right after it evaluates the residuals at u,
+        so the difference takes them from the last call instead of pricing
+        u again.
+        """
+        last_u, base = self._last
+        if last_u is None or not np.array_equal(u, last_u):
+            base = self(u)
+        shifted = np.array(u, dtype=float)
+        shifted[j] += _FD_STEP * (1.0 if u[j] >= 0.0 else -1.0) * max(1.0, abs(u[j]))
+        return (self._priced(shifted) - base) / (shifted[j] - u[j])
+
+
+class _Problem(_ScaledResiduals):
+    """Scaled price residuals of one fit and their Jacobian, in logistic coordinates.
+
+    ``u`` maps onto the parameter box as p = lo + span * expit(u).
+    """
+
+    def __init__(self, model_name: str, names, quotes: _Quotes):
+        super().__init__(quotes)
+        self.model_name = model_name
+        self.names = names
+        self.lo, self.hi = _box(names)
+
     def params(self, u):
-        return np.clip(self.lo + (self.hi - self.lo) * expit(u), self.lo, self.hi)
+        return _to_box(u, self.lo, self.hi)
+
+    def coordinates(self, params):
+        """The ``u`` of parameters in the box, moved at least _EDGE of it inside."""
+        frac = (np.asarray(params) - self.lo) / (self.hi - self.lo)
+        return logit(np.clip(frac, _EDGE, 1.0 - _EDGE))
 
     def param_slopes(self, u):
         """dp/du; expit(u) * expit(-u) stays positive where 1 - expit(u) rounds to 0."""
@@ -358,19 +423,8 @@ class _Problem:
         return self.scale * _residuals(self.model_name, self.names,
                                        self.params(u), self.quotes)
 
-    def __call__(self, u):
-        res = self._priced(u)
-        self._last = (np.array(u), res)
-        return res
-
     def jac(self, u):
-        """d residuals / du: sigma and H columns analytic, alpha a forward difference.
-
-        The alpha step follows scipy's 2-point rule, sqrt(eps) * max(1, |u|)
-        with the sign of u.  scipy calls ``jac(u)`` right after it evaluates
-        the residuals at u, so the difference takes them from the last call
-        instead of pricing u again.
-        """
+        """d residuals / du: sigma and H columns analytic, alpha a forward difference."""
         q = self.quotes
         model = build_model(self.model_name, dict(zip(self.names, self.params(u))))
         d_sigma, d_hurst = clock_gradient(model, q.spot, q.maturities, q.rates,
@@ -379,15 +433,10 @@ class _Problem:
         slopes = self.param_slopes(u)
         jac = np.empty((q.mids.size, len(self.names)))
         for j, name in enumerate(self.names):
-            if name != "alpha":
+            if name == "alpha":
+                jac[:, j] = self._forward_column(u, j)
+            else:
                 jac[:, j] = self.scale * slopes[j] * analytic[name]
-                continue
-            last_u, base = self._last
-            if last_u is None or not np.array_equal(u, last_u):
-                base = self(u)
-            shifted = np.array(u, dtype=float)
-            shifted[j] += _FD_STEP * (1.0 if u[j] >= 0.0 else -1.0) * max(1.0, abs(u[j]))
-            jac[:, j] = (self._priced(shifted) - base) / (shifted[j] - u[j])
         return jac
 
     def uncertainty(self, solution):
@@ -408,6 +457,117 @@ class _Problem:
             return None, cond
         var = np.sum((vt / sv[:, None]) ** 2, axis=0) * 2.0 * solution.cost * n / (n - k)
         return dict(zip(self.names, (float(v) for v in np.sqrt(var)))), cond
+
+
+class _ClockProblem(_ScaledResiduals):
+    """Stage 1 of the clock start: the chain priced at one clock per (maturity, rate) group.
+
+    ``v`` is [u_alpha, log X_1, ..., log X_G] for the CEV family, alpha on
+    the logistic map of :class:`_Problem`, and [log X_1, ..., log X_G] for
+    the BS family.  Every evaluation prices all quotes in one call.  The
+    clock columns of the Jacobian are the analytic dC/dX times X, the
+    alpha column a forward difference.
+    """
+
+    def __init__(self, model_name: str, quotes: _Quotes):
+        super().__init__(quotes)
+        self.model_name = model_name
+        self.cev = MODEL_NAMES[model_name][0] == Family.CEV
+        keys = [(round(float(t), _MATURITY_DECIMALS), float(r))
+                for t, r in zip(quotes.maturities, quotes.rates)]
+        # the quotes are sorted by these keys, so groups are contiguous
+        new = np.array([True] + [a != b for a, b in zip(keys, keys[1:])])
+        self.group = np.cumsum(new) - 1
+        self.first = np.flatnonzero(new)
+        self.maturities = quotes.maturities[self.first]
+        self.rates = quotes.rates[self.first]
+
+    def alpha(self, v) -> float:
+        return float(_to_box(v[0], *PARAM_BOUNDS["alpha"])) if self.cev else 2.0
+
+    def unit_model(self, v) -> ModelSpec:
+        """The model at sigma 1 and the alpha of ``v``; its H is not used."""
+        return build_model(self.model_name, {"sigma": 1.0, "alpha": self.alpha(v)})
+
+    def _quote_clocks(self, v):
+        return np.exp(v[int(self.cev):])[self.group]
+
+    def _priced(self, v):
+        self.evaluations += 1
+        q = self.quotes
+        return self.scale * (_prices_at_clock(self.unit_model(v), q.spot, q.maturities,
+                                              q.rates, q.strikes, self._quote_clocks(v))
+                             - q.mids)
+
+    def jac(self, v):
+        q = self.quotes
+        clocks = self._quote_clocks(v)
+        slope = _clock_slope(self.unit_model(v), q.spot, q.maturities, q.rates,
+                             q.strikes, clocks)
+        jac = np.zeros((q.mids.size, v.size))
+        jac[np.arange(q.mids.size), int(self.cev) + self.group] = \
+            self.scale * clocks * slope
+        if self.cev:
+            jac[:, 0] = self._forward_column(v, 0)
+        return jac
+
+    def start(self) -> np.ndarray:
+        """alpha at the middle of its box, clocks from the at-the-money quotes.
+
+        Each group's clock comes from the Brenner-Subrahmanyam variance
+        v = 2 pi (C/S)^2 of its quote nearest the forward, mapped to the
+        CEV clock as Phi = S^(2-alpha) (2-alpha)^2 v / 2.
+        """
+        q = self.quotes
+        gap = np.abs(q.strikes - q.spot * np.exp(q.rates * q.maturities))
+        atm = [i + int(np.argmin(g)) for i, g in
+               zip(self.first, np.split(gap, self.first[1:]))]
+        var = 2.0 * math.pi * (q.mids[atm] / q.spot) ** 2
+        if not self.cev:
+            return np.log(var)
+        a = self.alpha([0.0])
+        return np.concatenate(([0.0], np.log(
+            q.spot ** (2.0 - a) * (2.0 - a) ** 2 * var / 2.0)))
+
+
+def _clock_parameters(model_name: str, names, stage1: _ClockProblem, v) -> np.ndarray:
+    """Stage 2 of the clock start: the parameters from stage 1's clocks, without pricing.
+
+    The clock of group i is X_i = sigma^2 g_i(H), so for each H, log
+    sigma^2 is the mean of log X_i - log g_i(H), and H minimises the sum of
+    squares left.  That profile is bimodal for the sub-fractional driver,
+    whose weight w_H = 2 - 2^(2H-1) bends g, so a local search from the
+    whole box can end in the wrong mode: H is taken from a grid over its box
+    in one broadcast evaluation of g, then refined by a bounded Brent search
+    between the best grid value's neighbours.  Brent searches the offset
+    from the best grid value, because its tolerance grows with the size of
+    its variable.  With one maturity, H is not identified and stays at the
+    middle of its box.  Returns the values in the order of ``names``.
+    """
+    unit = stage1.unit_model(v)
+    log_clocks = v[int(stage1.cev):]
+
+    def profile(hurst):
+        """log sigma^2 and the squares left, at each H of a 1-d array."""
+        misfit = log_clocks - np.log(np.atleast_2d(
+            _clock(unit, stage1.rates, stage1.maturities, hurst[:, None])))
+        log_var = misfit.mean(axis=1)
+        return log_var, np.sum((misfit - log_var[:, None]) ** 2, axis=1)
+
+    hurst = _MID_HURST
+    distinct = {round(float(t), _MATURITY_DECIMALS) for t in stage1.maturities}
+    if "hurst" in names and len(distinct) > 1:
+        grid = np.linspace(*PARAM_BOUNDS["hurst"], _HURST_GRID)
+        best = int(np.argmin(profile(grid)[1]))
+        centre = grid[best]
+        cell = (grid[max(best - 1, 0)] - centre,
+                grid[min(best + 1, grid.size - 1)] - centre)
+        hurst = centre + optimize.minimize_scalar(
+            lambda d: profile(np.array([centre + d]))[1][0], bounds=cell,
+            method="bounded", options={"xatol": 1e-13}).x
+    values = {"sigma": math.exp(0.5 * profile(np.array([hurst]))[0][0]),
+              "alpha": stage1.alpha(v), "hurst": hurst}
+    return np.array([values[n] for n in names])
 
 
 @dataclass(frozen=True)
@@ -480,46 +640,60 @@ def _sobol_starts(dim: int, n_starts: int, seed: int) -> np.ndarray:
 
 def _fit_vector(model_name: str, names, quotes: _Quotes,
                 cfg: OptimizerConfig) -> _Solution:
-    """Multi-start trust-region least squares; returns the best fit.
+    """Trust-region least squares from the clock start and any Sobol starts.
 
     Every start runs ``least_squares`` (TRF) on :class:`_Problem`'s
     residuals and Jacobian, with at most ``cfg.maxiter`` residual
-    evaluations (the alpha Jacobian column's are not counted).  A start
-    whose residuals leave the pricing domain is skipped with a warning.  If
-    the lowest-cost start stopped on its budget, it continues from its end
-    point for at most ``cfg.polish_maxiter`` evaluations, and the
-    continuation is kept when it is no worse.
+    evaluations (the alpha Jacobian column's are not counted); the clock
+    start first solves :class:`_ClockProblem` and
+    :func:`_clock_parameters`.  A start that leaves the pricing domain is
+    skipped with one warning.  If the lowest-cost start stopped on its
+    budget, it continues from its end point for at most
+    ``cfg.polish_maxiter`` evaluations, and the continuation is kept when
+    it is no worse.
 
-    ``iterations`` is the residual evaluations of every start and of the
-    continuation, ``evaluations`` every pricing call; ``converged`` means
-    the kept solve met a least-squares tolerance.
+    ``iterations`` is the residual evaluations of every start (stage 1 of
+    the clock start included) and of the continuation, ``evaluations``
+    every pricing call; ``converged`` means the kept solve met a
+    least-squares tolerance.
     """
     problem = _Problem(model_name, names, quotes)
+    stage1 = _ClockProblem(model_name, quotes)
 
-    def solve(u0, max_nfev):
-        try:
-            return optimize.least_squares(problem, u0, jac=problem.jac,
-                                          method="trf", max_nfev=max_nfev)
-        except (DomainError, FloatingPointError) as exc:
-            log.warning("least-squares start of %s at %s left the domain: %s",
-                        model_name, dict(zip(names, problem.params(u0))), exc)
-            return None
+    def solve(target, u0, max_nfev):
+        return optimize.least_squares(target, u0, jac=target.jac, method="trf",
+                                      max_nfev=max_nfev)
 
+    def clock_start():
+        clocks = solve(stage1, stage1.start(), cfg.maxiter)
+        params = _clock_parameters(model_name, names, stage1, clocks.x)
+        return clocks.nfev, problem.coordinates(params)
+
+    sobol = (_sobol_starts(len(names), cfg.n_starts - 1, cfg.seed)
+             if cfg.n_starts > 1 else ())
     best = None
     iterations = 0
-    for u0 in _sobol_starts(len(names), cfg.n_starts, cfg.seed):
-        res = solve(u0, cfg.maxiter)
-        if res is None:
+    for k in range(cfg.n_starts):
+        try:
+            nfev, u0 = clock_start() if k == 0 else (0, sobol[k - 1])
+            res = solve(problem, u0, cfg.maxiter)
+        except (DomainError, FloatingPointError) as exc:
+            where = ("the clock start" if k == 0 else
+                     f"Sobol start {dict(zip(names, problem.params(sobol[k - 1])))}")
+            log.warning("%s of %s left the domain: %s", where, model_name, exc)
             continue
-        iterations += res.nfev
+        iterations += nfev + res.nfev
         if best is None or res.cost < best.cost:
             best = res
     if best is None:
         raise CalibrationError(
             f"no optimizer start stayed in the pricing domain for {model_name}")
     if best.status == 0:  # stopped on its budget
-        more = solve(best.x, cfg.polish_maxiter)
-        if more is not None:
+        try:
+            more = solve(problem, best.x, cfg.polish_maxiter)
+        except (DomainError, FloatingPointError) as exc:
+            log.warning("continuation of %s left the domain: %s", model_name, exc)
+        else:
             iterations += more.nfev
             if more.cost <= best.cost:
                 best = more
@@ -527,8 +701,8 @@ def _fit_vector(model_name: str, names, quotes: _Quotes,
     return _Solution(params=problem.params(best.x),
                      residuals=best.fun / problem.scale,
                      mse=2.0 * float(best.cost), iterations=iterations,
-                     evaluations=problem.evaluations, converged=best.status > 0,
-                     stderr=stderr, jac_cond=cond)
+                     evaluations=problem.evaluations + stage1.evaluations,
+                     converged=best.status > 0, stderr=stderr, jac_cond=cond)
 
 
 def _per_maturity_mse(quotes: _Quotes, residuals) -> dict:

@@ -165,6 +165,11 @@ def _cmd_compare(args) -> int:
     return 2 if any(r.failed for r in rows) else 0
 
 
+_STARTS_HELP = ("optimizer starts: the first is the clock start, solved from "
+                "the chain's term structure; any further starts are "
+                "scrambled-Sobol points of --seed")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="msfcev",
@@ -234,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, choices=sorted(pricing.MODEL_NAMES))
     p.add_argument("--mode", choices=["joint", "per_maturity"], default="joint")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--starts", type=int, default=8)
+    p.add_argument("--starts", type=int, default=1, help=_STARTS_HELP)
     p.add_argument("--maxiter", type=int, default=400,
                    help="residual evaluations per start")
     p.add_argument("--filter-moneyness", action="store_true")
@@ -247,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated model short names")
     p.add_argument("--mode", choices=["joint", "per_maturity"], default="joint")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--starts", type=int, default=8)
+    p.add_argument("--starts", type=int, default=1, help=_STARTS_HELP)
     p.add_argument("--maxiter", type=int, default=400,
                    help="residual evaluations per start")
     p.add_argument("--filter-moneyness", action="store_true")

@@ -230,10 +230,16 @@ def driver_variance(driver: Driver, params: MixedDriverParams, t):
     """
     if np.less(t, 0.0).any():
         raise DomainError(f"time must be >= 0, got {t!r}")
+    return _driver_variance(driver, params, t)
+
+
+def _driver_variance(driver: Driver, params: MixedDriverParams, t, hurst=None):
+    """driver_variance; ``hurst``, if given, replaces H and broadcasts against t."""
     out = params.beta ** 2 * t
     if params.gamma != 0.0 and driver != Driver.CLASSICAL:
-        out = out + (params.gamma ** 2 * _subfractional_weight(driver, params.hurst)
-                     * t ** (2.0 * params.hurst))
+        hurst = params.hurst if hurst is None else hurst
+        out = out + (params.gamma ** 2 * _subfractional_weight(driver, hurst)
+                     * t ** (2.0 * hurst))
     return out
 
 
@@ -260,18 +266,35 @@ def _check_not_nan(model: ModelSpec, values, maturities, what: str) -> None:
             "evaluation there")
 
 
-def _phi(model: ModelSpec, rate, maturity):
-    """Phi(T) over arrays (or scalars) of rate and maturity; see effective_variance."""
+def _phi(model: ModelSpec, rate, maturity, hurst=None):
+    """Phi(T) over arrays (or scalars) of rate and maturity; see effective_variance.
+
+    ``hurst``, if given, replaces the model's H and broadcasts too.
+    """
     p = model.driver_params
     a = model.alpha
     z = (2.0 - a) * rate * maturity
     total = 0.5 * p.beta ** 2 * maturity * special.hyp1f1(1.0, 2.0, z)
     if p.gamma != 0.0 and model.driver != Driver.CLASSICAL:
-        h = p.hurst
+        h = p.hurst if hurst is None else hurst
         total = total + (0.5 * p.gamma ** 2 * _subfractional_weight(model.driver, h)
                          * maturity ** (2.0 * h)
                          * special.hyp1f1(1.0, 1.0 + 2.0 * h, z))
     return model.sigma ** 2 * (2.0 - a) ** 2 * total
+
+
+def _clock(model: ModelSpec, rate, maturity, hurst=None):
+    """The clock X = sigma^2 g(H) through which sigma and H move a price.
+
+    Phi(T) for the CEV family, the total variance v = sigma^2 * driver
+    variance for the BS family.  ``hurst``, if given, replaces the model's
+    H and broadcasts against ``rate`` and ``maturity``, so one call
+    evaluates g over a grid of H.
+    """
+    if model.family == Family.BS:
+        return model.sigma ** 2 * _driver_variance(model.driver, model.driver_params,
+                                                   maturity, hurst)
+    return _phi(model, rate, maturity, hurst)
 
 
 def effective_variance(model: ModelSpec, env: MarketEnv, maturity: float) -> float:
@@ -405,17 +428,20 @@ def _chain_arrays(spot: float, maturities, rates, strikes):
             _quote_array(strikes, "strikes"))
 
 
-def _cev_coordinates(model: ModelSpec, spot: float, t, r, k):
-    """Phi and the chi-squared coordinates y, z over arrays (or scalars).
+def _chi2_coordinates(a: float, spot: float, t, r, k, phi):
+    """The chi-squared coordinates y, z at the effective variance ``phi``.
 
-    y = S0^(2-alpha) e^((2-alpha) r T) / Phi takes the shape of ``t`` and
-    ``r``, and z = K^(2-alpha) / Phi that of all three quote arguments.
+    y = S0^(2-alpha) e^((2-alpha) r T) / Phi takes the shape of ``t``,
+    ``r`` and ``phi``, and z = K^(2-alpha) / Phi that of ``k`` and ``phi``.
     """
-    a = model.alpha
-    phi = _phi(model, r, t)
     k_s = 1.0 / phi
-    return (phi, k_s * spot ** (2.0 - a) * np.exp(r * (2.0 - a) * t),
-            k_s * k ** (2.0 - a))
+    return k_s * spot ** (2.0 - a) * np.exp(r * (2.0 - a) * t), k_s * k ** (2.0 - a)
+
+
+def _cev_coordinates(model: ModelSpec, spot: float, t, r, k):
+    """Phi and the chi-squared coordinates y, z over arrays (or scalars)."""
+    phi = _phi(model, r, t)
+    return (phi, *_chi2_coordinates(model.alpha, spot, t, r, k, phi))
 
 
 def chain_prices(model: ModelSpec, spot: float, maturities, rates,
@@ -430,10 +456,19 @@ def chain_prices(model: ModelSpec, spot: float, maturities, rates,
     :func:`_assemble_call` uses.  A BS chain is one normal-cdf pair.
     """
     t, r, k = _chain_arrays(spot, maturities, rates, strikes)
+    return _prices_at_clock(model, spot, t, r, k, _clock(model, r, t))
+
+
+def _prices_at_clock(model: ModelSpec, spot: float, t, r, k, clock) -> np.ndarray:
+    """Call prices of checked quote arrays at the clock X of each quote.
+
+    ``clock`` is Phi (CEV) or the total variance v (BS) and broadcasts
+    against the quotes.  Of the model only the family and alpha enter:
+    sigma and the driver act through the clock (see :func:`_clock`).
+    """
     if model.family == Family.BS:
-        v = model.sigma ** 2 * driver_variance(model.driver, model.driver_params, t)
-        return black_scholes_call(spot, k, r, t, v)
-    _, y, z = _cev_coordinates(model, spot, t, r, k)
+        return black_scholes_call(spot, k, r, t, clock)
+    y, z = _chi2_coordinates(model.alpha, spot, t, r, k, clock)
     two_y, two_z = np.broadcast_arrays(2.0 * y, 2.0 * z)
     df0 = 2.0 / (2.0 - model.alpha)
     n = two_y.size
@@ -460,53 +495,59 @@ def _weighted_power_slope(driver: Driver, hurst: float, t):
     return t ** (2.0 * hurst) * (dw + 2.0 * w * np.log(t))
 
 
+def _clock_slope(model: ModelSpec, spot: float, t, r, k, clock):
+    """dC/dX of every quote at the clock X; arguments as for :func:`_prices_at_clock`.
+
+        CEV: dC/dPhi = e^(-rT) K^alpha p(K) / (2-alpha)^2
+        BS:  dC/dv   = S0 n(d1) / (2 sqrt(v))
+
+    where p is the transition density (Dupire's forward identity in the
+    clock Phi) and n the normal density.
+    """
+    if model.family == Family.BS:
+        sv = np.sqrt(clock)
+        d1 = _bs_d1(spot, k, r, t, sv)
+        return spot * np.exp(-0.5 * d1 ** 2) / (2.0 * math.sqrt(2.0 * math.pi) * sv)
+    a = model.alpha
+    y, z = _chi2_coordinates(a, spot, t, r, k, clock)
+    return np.exp(-r * t) * k ** a * _density(a, 1.0 / clock, y, z) / (2.0 - a) ** 2
+
+
 def clock_gradient(model: ModelSpec, spot: float, maturities, rates, strikes):
     """dC/dsigma and dC/dH of every quote of :func:`chain_prices`, without pricing.
 
     sigma and H move a price only through its clock X = sigma^2 g(H): the
     effective variance Phi(T) for the CEV family, the total variance v for
     the BS family.  So dC/dsigma = (2 X / sigma) dC/dX and
-    dC/dH = (dX/dH) dC/dX, with
-
-        CEV: dC/dPhi = e^(-rT) K^alpha p(K) / (2-alpha)^2
-        BS:  dC/dv   = S0 n(d1) / (2 sqrt(v))
-
-    where p is the transition density (Dupire's forward identity in the
-    clock Phi) and n the normal density.  dX/dH is closed form but for
-    M(1, 1+2H, z) in Phi, whose H derivative is a central difference.
-    Returns ``(d_sigma, d_hurst)`` arrays, ``d_hurst`` None for the
-    classical driver.  alpha also moves the chi-squared degrees of freedom,
-    which have no closed-form derivative, so it is not covered here.
+    dC/dH = (dX/dH) dC/dX, with dC/dX from :func:`_clock_slope`.  dX/dH
+    is closed form but for M(1, 1+2H, z) in Phi, whose H derivative is a
+    central difference.  Returns ``(d_sigma, d_hurst)`` arrays, ``d_hurst``
+    None for the classical driver.  alpha also moves the chi-squared
+    degrees of freedom, which have no closed-form derivative, so it is not
+    covered here.
     """
     t, r, k = _chain_arrays(spot, maturities, rates, strikes)
     p = model.driver_params
-    mixed = model.driver != Driver.CLASSICAL
-    if mixed:
-        scale = model.sigma ** 2 * p.gamma ** 2
-        power_slope = _weighted_power_slope(model.driver, p.hurst, t)
+    clock = _clock(model, r, t)
+    slope = _clock_slope(model, spot, t, r, k, clock)
+    d_sigma = 2.0 * clock / model.sigma * slope
+    if model.driver == Driver.CLASSICAL:
+        return d_sigma, None
+    scale = model.sigma ** 2 * p.gamma ** 2
+    power_slope = _weighted_power_slope(model.driver, p.hurst, t)
     if model.family == Family.BS:
-        clock = model.sigma ** 2 * driver_variance(model.driver, p, t)
-        sv = np.sqrt(clock)
-        d1 = _bs_d1(spot, k, r, t, sv)
-        slope = spot * np.exp(-0.5 * d1 ** 2) / (2.0 * math.sqrt(2.0 * math.pi) * sv)
-        if mixed:
-            d_clock = scale * power_slope
-    else:
-        a = model.alpha
-        clock, y, z = _cev_coordinates(model, spot, t, r, k)
-        slope = (np.exp(-r * t) * k ** a * _density(a, 1.0 / clock, y, z)
-                 / (2.0 - a) ** 2)
-        if mixed:
-            kummer_z = (2.0 - a) * r * t
-            b = 1.0 + 2.0 * p.hurst
-            m_slope = ((special.hyp1f1(1.0, b + 2.0 * _HURST_STEP, kummer_z)
-                        - special.hyp1f1(1.0, b - 2.0 * _HURST_STEP, kummer_z))
-                       / (2.0 * _HURST_STEP))
-            d_clock = 0.5 * scale * (2.0 - a) ** 2 * (
-                power_slope * special.hyp1f1(1.0, b, kummer_z)
-                + _subfractional_weight(model.driver, p.hurst)
-                * t ** (2.0 * p.hurst) * m_slope)
-    return 2.0 * clock / model.sigma * slope, (d_clock * slope if mixed else None)
+        return d_sigma, scale * power_slope * slope
+    a = model.alpha
+    kummer_z = (2.0 - a) * r * t
+    b = 1.0 + 2.0 * p.hurst
+    m_slope = ((special.hyp1f1(1.0, b + 2.0 * _HURST_STEP, kummer_z)
+                - special.hyp1f1(1.0, b - 2.0 * _HURST_STEP, kummer_z))
+               / (2.0 * _HURST_STEP))
+    d_clock = 0.5 * scale * (2.0 - a) ** 2 * (
+        power_slope * special.hyp1f1(1.0, b, kummer_z)
+        + _subfractional_weight(model.driver, p.hurst)
+        * t ** (2.0 * p.hurst) * m_slope)
+    return d_sigma, d_clock * slope
 
 
 def call_prices(model: ModelSpec, env: MarketEnv, maturity: float,

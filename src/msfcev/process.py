@@ -203,19 +203,23 @@ def sample_msfbm(grid: TimeGrid, params: MixedDriverParams,
 
     Deterministic for a given seed: paths are generated in fixed blocks of
     4096, each from its own counter-based substream, so the result is
-    independent of how the blocks might be scheduled.
+    independent of how the blocks might be scheduled.  Every block draws
+    into one normal buffer and multiplies straight into the output, so the
+    loop allocates nothing per block.
     """
     if n_paths < 1:
         raise DomainError("n_paths must be >= 1")
     factor = _factor(covariance_matrix(grid, params))
     m = len(grid) - 1
     out = np.zeros((n_paths, m + 1))
+    z = np.empty((min(_BLOCK, n_paths), m))
     n_blocks = (n_paths + _BLOCK - 1) // _BLOCK
     for b in range(n_blocks):
         lo = b * _BLOCK
         hi = min(lo + _BLOCK, n_paths)
-        z = block_rng(seed, b).standard_normal((hi - lo, m))
-        out[lo:hi, 1:] = z @ factor.T
+        zb = z[:hi - lo]
+        block_rng(seed, b).standard_normal(out=zb)
+        np.matmul(zb, factor.T, out=out[lo:hi, 1:])
     return PathBatch(grid=grid, paths=out, seed=seed)
 
 

@@ -7,11 +7,12 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import optimize
 from scipy.special import logit
 
 from msfcev import calibrate as cal
 from msfcev.errors import CalibrationError, ChainFormatError, DomainError
-from msfcev.pricing import MODEL_NAMES, ModelSpec
+from msfcev.pricing import MODEL_NAMES, ModelSpec, _clock, chain_prices
 
 VALID_CSV = """quote_date,spot,rate,strike,maturity_years,mid_price
 2024-01-02,100,0.05,95,0.5,7.12
@@ -173,12 +174,12 @@ class TestFit:
         assert "3.000000" not in report.mse_per_maturity
 
     def test_sample_chain_recovery(self):
-        """The README and demo 05 fit: eight starts find the global minimum.
+        """Eight starts: the clock start and seven Sobol points.
 
         The objective has a second, true local minimum at sigma 2.76, alpha
-        0.788, H 0.854 (MSE 2.7e-4), to which one-start fits from seed 7 or
-        seed 42 converge; the multi-start is what finds the generating
-        parameters.
+        0.788, H 0.854 (MSE 2.7e-4), where a single start from a Sobol
+        point of seed 7 or 42 ends; the clock start alone finds the
+        generating parameters (test_one_start_sample_chain_recovery).
         """
         chain = cal.load_chain("data/sample_chain.csv")
         report = cal.fit(chain, "msfcev", "joint",
@@ -193,6 +194,39 @@ class TestFit:
         assert fitted["sigma"] == pytest.approx(2.5000000298114533, rel=1e-8)
         assert fitted["alpha"] == pytest.approx(0.7999999955765418, rel=1e-8)
         assert fitted["hurst"] == pytest.approx(0.7500000030512445, rel=1e-8)
+
+    @pytest.mark.parametrize("seed", [7, 42])
+    def test_one_start_sample_chain_recovery(self, seed):
+        # the default config: the clock start alone
+        chain = cal.load_chain("data/sample_chain.csv")
+        report = cal.fit(chain, "msfcev", "joint", cal.OptimizerConfig(seed=seed))
+        fitted = report.fitted["joint"]
+        assert fitted["sigma"] == pytest.approx(2.5, abs=1e-6)
+        assert fitted["alpha"] == pytest.approx(0.8, abs=1e-6)
+        assert fitted["hurst"] == pytest.approx(0.75, abs=1e-6)
+        assert report.converged
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("name,values,rel", [
+        ("msfcev", {"sigma": 2.5, "alpha": 0.8, "hurst": 0.75}, 1e-8),
+        ("msfcev", {"sigma": 1.0, "alpha": 1.5, "hurst": 0.9}, 1e-8),
+        # alpha's standard error is about 0.12 here; TRF stops a solve when
+        # a step lowers the cost by less than its ftol, 1e-8 relative, so
+        # on this flat valley one solve ends up to 5e-8 above the minimum
+        # that the best of eight reaches
+        ("msfcev", {"sigma": 0.3, "alpha": 1.2, "hurst": 0.75}, 1e-7),
+        ("msfbs", {"sigma": 0.2, "hurst": 0.9}, 1e-8),
+        ("msfbs", {"sigma": 0.3, "hurst": 0.6}, 1e-8),
+    ])
+    def test_one_start_reaches_eight_start_minimum(self, env100, name, values,
+                                                    rel, seed):
+        model = ModelSpec.make(name, **values)
+        chain = cal.synthetic_chain(model, env100, (0.25, 0.5, 1.0, 2.0),
+                                    n_strikes=6, noise=0.02, seed=seed)
+        one = cal.fit(chain, name, "joint", cal.OptimizerConfig(seed=seed))
+        eight = cal.fit(chain, name, "joint",
+                        cal.OptimizerConfig(n_starts=8, seed=seed))
+        assert one.total_mse <= eight.total_mse * (1.0 + rel)
 
     def test_sobol_starts_built_once_and_read_only(self):
         starts = cal._sobol_starts(3, 8, 42)
@@ -243,6 +277,26 @@ class TestFit:
             with pytest.raises(CalibrationError):
                 cal.fit(small_chain, "cev", "joint", cfg)
         assert len(caplog.records) == 3  # one warning per skipped start
+        assert "clock start" in caplog.records[0].getMessage()
+
+    @pytest.mark.parametrize("stage", ["_prices_at_clock", "_clock_parameters"])
+    def test_clock_start_that_raises_skipped(self, small_chain, monkeypatch,
+                                             caplog, stage):
+        def reject(*args):
+            raise DomainError("outside the pricing domain")
+
+        monkeypatch.setattr(cal, stage, reject)
+        cfg = cal.OptimizerConfig(n_starts=2, seed=0)
+        with caplog.at_level(logging.WARNING, logger=cal.log.name):
+            report = cal.fit(small_chain, "msfcev", "joint", cfg)
+        assert len(caplog.records) == 1
+        assert "clock start" in caplog.records[0].getMessage()
+        # the Sobol start still fits
+        assert report.total_mse <= 1e-8
+        with caplog.at_level(logging.WARNING, logger=cal.log.name):
+            with pytest.raises(CalibrationError):
+                cal.fit(small_chain, "msfcev", "joint", cal.OptimizerConfig())
+        assert len(caplog.records) == 2
 
     def test_invalid_mode(self, small_chain):
         with pytest.raises(DomainError):
@@ -270,6 +324,86 @@ class TestFit:
         recombined = sum(report.mse_per_maturity[k] * counts[k]
                          for k in counts) / sum(counts.values())
         assert report.total_mse == pytest.approx(recombined, rel=1e-12)
+
+
+def _clock_case(name, values, maturities, rate=0.05):
+    """Stage 1's problem and its exact solution for a model's clocks."""
+    n = len(maturities)
+    quotes = cal._Quotes(spot=100.0, maturities=np.repeat(maturities, 2),
+                         rates=np.full(2 * n, rate),
+                         strikes=np.tile([90.0, 110.0], n), mids=np.ones(2 * n))
+    stage1 = cal._ClockProblem(name, quotes)
+    v = []
+    if stage1.cev:
+        lo, hi = cal.PARAM_BOUNDS["alpha"]
+        v.append(logit((values["alpha"] - lo) / (hi - lo)))
+        values = dict(values, alpha=stage1.alpha(v))  # after the round trip
+    clocks = _clock(cal.build_model(name, values), stage1.rates, stage1.maturities)
+    return stage1, np.concatenate((v, np.log(clocks))), values
+
+
+class TestClockStart:
+    @pytest.mark.parametrize("hurst", [0.55, 0.68, 0.75, 0.9, 0.99])
+    @pytest.mark.parametrize("name,values,maturities,rate", [
+        # bimodal: the profile has a second minimum near H 0.68 at H 0.9
+        ("msfbs", {"sigma": 0.2}, (0.25, 1.0, 2.0), 0.05),
+        ("mfbs", {"sigma": 0.3}, (0.25, 1.0, 2.0), 0.0),
+        ("msfcev", {"sigma": 2.5, "alpha": 0.8}, (0.25, 0.5, 1.0, 1.5, 2.0), 0.05),
+        ("mfcev", {"sigma": 0.3, "alpha": 1.5}, (0.25, 1.0, 2.0), 0.0),
+    ])
+    def test_stage_two_recovers_exact_clocks_without_pricing(
+            self, monkeypatch, name, values, maturities, rate, hurst):
+        def no_pricing(*args):
+            raise AssertionError("stage 2 priced")
+
+        for fn in ("chain_prices", "_prices_at_clock", "_clock_slope"):
+            monkeypatch.setattr(cal, fn, no_pricing)
+        stage1, v, values = _clock_case(name, dict(values, hurst=hurst),
+                                        maturities, rate)
+        names = cal.free_parameters(name)
+        got = cal._clock_parameters(name, names, stage1, v)
+        want = np.array([values[n] for n in names])
+        assert np.max(np.abs(got - want)) <= 1e-10
+
+    @pytest.mark.parametrize("name,values", [
+        ("bs", {"sigma": 0.3}), ("cev", {"sigma": 0.3, "alpha": 1.2})])
+    def test_stage_two_classical_sigma(self, name, values):
+        stage1, v, values = _clock_case(name, values, (0.25, 1.0, 2.0))
+        names = cal.free_parameters(name)
+        got = cal._clock_parameters(name, names, stage1, v)
+        assert got == pytest.approx([values[n] for n in names], rel=1e-14)
+
+    def test_one_maturity_holds_hurst_at_box_middle(self):
+        stage1, v, _ = _clock_case("msfcev", {"sigma": 2.5, "alpha": 0.8,
+                                              "hurst": 0.9}, (1.0,))
+        names = cal.free_parameters("msfcev")
+        got = dict(zip(names, cal._clock_parameters("msfcev", names, stage1, v)))
+        assert got["hurst"] == sum(cal.PARAM_BOUNDS["hurst"]) / 2.0
+        # sigma reproduces the one clock at that H
+        model = cal.build_model("msfcev", got)
+        assert _clock(model, stage1.rates, stage1.maturities) == \
+            pytest.approx(np.exp(v[1:]), rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["bs", "msfbs", "cev", "msfcev"])
+    def test_stage_one_solves_clocks(self, name, msfcev_chain):
+        # a chain priced by the model itself: one clock per maturity fits
+        # it exactly, with alpha at the generating value
+        values = {"sigma": 2.5 if "cev" in name else 0.2, "alpha": 0.8,
+                  "hurst": 0.75}
+        model = cal.build_model(name, values)
+        quotes = cal._quote_arrays(msfcev_chain.quotes)
+        quotes = cal._Quotes(quotes.spot, quotes.maturities, quotes.rates,
+                             quotes.strikes,
+                             chain_prices(model, quotes.spot, quotes.maturities,
+                                          quotes.rates, quotes.strikes))
+        stage1 = cal._ClockProblem(name, quotes)
+        solved = optimize.least_squares(stage1, stage1.start(), jac=stage1.jac,
+                                        method="trf")
+        assert 2.0 * solved.cost <= 1e-20
+        clocks = _clock(model, stage1.rates, stage1.maturities)
+        assert np.exp(solved.x[int(stage1.cev):]) == pytest.approx(clocks, rel=1e-6)
+        if stage1.cev:
+            assert stage1.alpha(solved.x) == pytest.approx(0.8, abs=1e-6)
 
 
 def _quotes_at(rate):

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from msfcev import process
 from msfcev.errors import DomainError
 from msfcev.process import (MixedDriverParams, PathBatch, TimeGrid,
-                            covariance_matrix, increment_covariance,
+                            block_rng, covariance_matrix, increment_covariance,
                             increment_variance, msfbm_covariance,
                             sample_msfbm, sfbm_covariance)
 
@@ -184,6 +185,20 @@ class TestSampling:
         small = sample_msfbm(g, p, 4096, seed=9)
         large = sample_msfbm(g, p, 10000, seed=9)
         assert np.array_equal(small.paths, large.paths[:4096])
+
+    @pytest.mark.parametrize("n_paths", [1, 4096, 16_461])
+    def test_blocks_match_fresh_draws_bit_for_bit(self, n_paths):
+        # the reused block buffers give the paths of a fresh normal draw and
+        # a fresh product per block, a partial last block included
+        g = TimeGrid(np.linspace(0.0, 2.0, 11))
+        p = MixedDriverParams(hurst=0.75)
+        factor = process._factor(covariance_matrix(g, p))
+        want = np.zeros((n_paths, len(g)))
+        for b, lo in enumerate(range(0, n_paths, 4096)):
+            hi = min(lo + 4096, n_paths)
+            z = block_rng(5, b).standard_normal((hi - lo, len(g) - 1))
+            want[lo:hi, 1:] = z @ factor.T
+        assert np.array_equal(sample_msfbm(g, p, n_paths, seed=5).paths, want)
 
     def test_paths_start_at_zero(self):
         g = TimeGrid([0.0, 0.3, 0.8])
