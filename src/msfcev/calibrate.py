@@ -27,16 +27,14 @@ first start is solved from the term structure of clocks:
 
 That start lands in the global minimum where a single start from an
 arbitrary point can end in a local one (for msfCEV near H 0.85).  Any
-further starts are scrambled-Sobol points, generated in this module and
-identical, bit for bit, to ``scipy.stats.qmc.Sobol(d, scramble=True,
-seed=seed)``, so a fit never imports ``scipy.stats``.  Seeds are unsigned
-64-bit integers.
+further starts are random points drawn from ``default_rng(seed)``, the
+first of them scipy's first scrambled-Sobol point of that seed.  Seeds
+are unsigned 64-bit integers.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import os
 import logging
@@ -81,12 +79,6 @@ PARAM_BOUNDS = {
 }
 _MATURITY_DECIMALS = 6  # grouping key resolution in years
 
-# Joe and Kuo's primitive polynomials and initial direction numbers for the
-# first three Sobol dimensions, enough for the at most three free parameters
-_SOBOL_BITS = 30
-_SOBOL_POLY = (1, 3, 7)
-_SOBOL_VINIT = ((), (1,), (1, 3))
-
 
 @dataclass(frozen=True)
 class MarketQuote:
@@ -123,7 +115,7 @@ class OptimizerConfig:
     """Starts and budgets of a fit.
 
     Start 0 is the clock start (see the module docstring); starts 1 to
-    ``n_starts - 1`` are the first scrambled-Sobol points of ``seed``.
+    ``n_starts - 1`` are random points drawn from ``seed``.
     ``maxiter`` bounds the residual evaluations of each least-squares
     solve, the clock start's first stage included.
     """
@@ -134,8 +126,8 @@ class OptimizerConfig:
     polish_maxiter: int = 1500
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_starts <= 2 ** _SOBOL_BITS:
-            raise DomainError(f"n_starts must be in [1, 2**{_SOBOL_BITS}]")
+        if self.n_starts < 1:
+            raise DomainError("n_starts must be at least 1")
         if not 0 <= self.seed < 2 ** 64:
             raise DomainError("seed must be an unsigned 64-bit integer")
 
@@ -584,71 +576,35 @@ class _Solution:
     jac_cond: float | None
 
 
-def _sobol_directions(dim: int) -> np.ndarray:
-    """Sobol direction numbers, shape (dim, 30), as integers of 30 bits."""
-    v = np.ones((dim, _SOBOL_BITS), dtype=np.uint32)
-    for d in range(1, dim):
-        poly, vinit = _SOBOL_POLY[d], _SOBOL_VINIT[d]
-        m = len(vinit)
-        v[d, :m] = vinit
-        for j in range(m, _SOBOL_BITS):  # Bratley and Fox's recurrence
-            new = v[d, j - m]
-            for k in range(m):
-                if (poly >> (m - 1 - k)) & 1:
-                    new ^= v[d, j - k - 1] << (k + 1)
-            v[d, j] = new
-    return v << np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint32)
+_START_BITS = 30  # random bits per coordinate of a further start
 
 
-def _scrambled_sobol(dim: int, n: int, seed: int) -> np.ndarray:
-    """The first ``n`` points of a scrambled Sobol sequence in [0, 1)^dim.
+def _random_start(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A further start in the logistic coordinates, drawn bit by bit from ``rng``.
 
-    Linear matrix scrambling plus a digital shift, with the draws in the
-    order of ``scipy.stats.qmc.Sobol(d=dim, scramble=True, seed=seed)``,
-    whose ``random(n)`` this equals bit for bit.
+    ``dim`` x 30 random bits weighted by 2^j and scaled by 2^-30 give u in
+    [0, 1)^dim.  The first draw of ``default_rng(seed)`` is the digital
+    shift, and so the first point, of ``scipy.stats.qmc.Sobol(dim,
+    scramble=True, seed=seed)``.
     """
-    rng = np.random.default_rng(seed)
-    weights = np.uint32(1) << np.arange(_SOBOL_BITS, dtype=np.uint32)
-    shift = rng.integers(0, 2, size=(dim, _SOBOL_BITS), dtype=np.uint32) @ weights
-    lms = np.tril(rng.integers(0, 2, size=(dim, _SOBOL_BITS, _SOBOL_BITS),
-                               dtype=np.uint32)) | np.eye(_SOBOL_BITS, dtype=np.uint32)
-    rows = lms @ weights[::-1]  # row p of each matrix as an integer
-    # the scrambled direction's bit 29 - p is the GF(2) product of row p
-    # with the direction
-    parity = np.bitwise_count(rows[:, :, None] & _sobol_directions(dim)[:, None, :]) & 1
-    directions = (parity * weights[::-1, None]).sum(axis=1, dtype=np.uint32)
-    # Gray-code order: point i is point i - 1 with the direction of the
-    # lowest set bit of i flipped in
-    i = np.arange(1, n, dtype=np.uint32)
-    lowest = np.bitwise_count(i ^ (i - 1)) - 1
-    steps = np.vstack([shift, directions[:, lowest].T])
-    return np.bitwise_xor.accumulate(steps, axis=0) * 2.0 ** -_SOBOL_BITS
-
-
-@functools.lru_cache(maxsize=64)
-def _sobol_starts(dim: int, n_starts: int, seed: int) -> np.ndarray:
-    """Scrambled-Sobol starting points in the logistic coordinates, read-only.
-
-    Cached, because a per-maturity fit and a model comparison ask for the
-    same starts once per maturity or model.
-    """
-    unit = _scrambled_sobol(dim, n_starts, seed)
-    starts = logit(0.02 + 0.96 * unit)  # keep logits finite
-    starts.flags.writeable = False
-    return starts
+    bits = rng.integers(0, 2, size=(dim, _START_BITS), dtype=np.uint32)
+    weights = np.uint32(1) << np.arange(_START_BITS, dtype=np.uint32)
+    u = (bits @ weights) * 2.0 ** -_START_BITS
+    return logit(0.02 + 0.96 * u)  # keep logits finite
 
 
 def _fit_vector(model_name: str, names, quotes: _Quotes,
                 cfg: OptimizerConfig) -> _Solution:
-    """Trust-region least squares from the clock start and any Sobol starts.
+    """Trust-region least squares from the clock start and any random starts.
 
     Every start runs ``least_squares`` (TRF) on :class:`_Problem`'s
     residuals and Jacobian, with at most ``cfg.maxiter`` residual
     evaluations (the alpha Jacobian column's are not counted); the clock
-    start first solves :class:`_ClockProblem` and
-    :func:`_clock_parameters`.  A start that leaves the pricing domain is
-    skipped with one warning.  If the lowest-cost start stopped on its
-    budget, it continues from its end point for at most
+    start first solves :class:`_ClockProblem` and :func:`_clock_parameters`,
+    and each further start is drawn by :func:`_random_start` from one
+    ``default_rng(cfg.seed)`` when its turn comes.  A start that leaves the
+    pricing domain is skipped with one warning.  If the lowest-cost start
+    stopped on its budget, it continues from its end point for at most
     ``cfg.polish_maxiter`` evaluations, and the continuation is kept when
     it is no worse.
 
@@ -669,17 +625,16 @@ def _fit_vector(model_name: str, names, quotes: _Quotes,
         params = _clock_parameters(model_name, names, stage1, clocks.x)
         return clocks.nfev, problem.coordinates(params)
 
-    sobol = (_sobol_starts(len(names), cfg.n_starts - 1, cfg.seed)
-             if cfg.n_starts > 1 else ())
+    rng = np.random.default_rng(cfg.seed) if cfg.n_starts > 1 else None
     best = None
     iterations = 0
     for k in range(cfg.n_starts):
         try:
-            nfev, u0 = clock_start() if k == 0 else (0, sobol[k - 1])
+            nfev, u0 = clock_start() if k == 0 else (0, _random_start(rng, len(names)))
             res = solve(problem, u0, cfg.maxiter)
         except (DomainError, FloatingPointError) as exc:
             where = ("the clock start" if k == 0 else
-                     f"Sobol start {dict(zip(names, problem.params(sobol[k - 1])))}")
+                     f"random start {dict(zip(names, problem.params(u0)))}")
             log.warning("%s of %s left the domain: %s", where, model_name, exc)
             continue
         iterations += nfev + res.nfev

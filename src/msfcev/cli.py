@@ -166,8 +166,8 @@ def _cmd_compare(args) -> int:
 
 
 _STARTS_HELP = ("optimizer starts: the first is the clock start, solved from "
-                "the chain's term structure; any further starts are "
-                "scrambled-Sobol points of --seed")
+                "the chain's term structure; any further starts are random "
+                "points drawn from --seed")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -275,7 +275,7 @@ class TestColdStart:
                                          argv=argv) == []
 
     def test_calibrate_command_leaves_scipy_stats_out(self):
-        # the fit's Sobol starts are generated without scipy.stats
+        # a fit draws its random starts from numpy, without scipy.stats
         argv = ["calibrate", "--input", SAMPLE_CHAIN, "--model", "msfcev",
                 "--seed", "42", "--out", os.devnull]
         assert self.loaded_by_cli_import("scipy.stats", argv=argv) == []
