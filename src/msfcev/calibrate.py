@@ -12,12 +12,14 @@ per model are
 
 The optimizer is trust-region least squares (TRF) on the price
 residuals, in a logistic reparameterization of the bounded box;
-deterministic for a given seed.  Its Jacobian is analytic in sigma and H
-(:func:`msfcev.pricing.clock_gradient`) and a forward difference in alpha.
+deterministic for a given seed.
 
 sigma and H move a price only through its clock X(T) = sigma^2 g(H)
-(Phi for the CEV family, the total variance for the BS family), so the
-first start is solved from the term structure of clocks:
+(Phi for the CEV family, the total variance for the BS family).  So the
+Jacobian's sigma and H columns are dX/dsigma = 2 X / sigma and dX/dH, a
+central difference of the clock, times the closed-form dC/dX; its alpha
+column is a forward difference.  And the first start is solved from the
+term structure of clocks:
 
 1. one least-squares solve over a common alpha and one log clock per
    (maturity, rate) group, every quote priced at its group's clock;
@@ -48,8 +50,8 @@ from scipy.special import expit, logit
 
 from .errors import CalibrationError, ChainFormatError, DomainError
 from .pricing import (MODEL_NAMES, Driver, Family, MarketEnv, ModelSpec,
-                      _clock, _clock_slope, _prices_at_clock, chain_prices,
-                      clock_gradient)
+                      _chain_arrays, _clock, _clock_slope, _prices_at_clock,
+                      _quote_array, chain_prices)
 
 __all__ = [
     "MarketQuote",
@@ -138,11 +140,11 @@ class CalibrationReport:
 
     ``iterations`` counts the optimizer's residual evaluations and
     ``evaluations`` every pricing call the fit made, the alpha Jacobian
-    column's and the clock start's first stage included.  ``stderr`` (parameter standard errors) and
-    ``jac_cond`` (condition number of the price Jacobian) are keyed like
-    ``fitted``.  A standard error is None when a fit has no more quotes
-    than parameters or a rank-deficient Jacobian, a condition number when
-    the Jacobian is singular.
+    column's and the clock start's first stage included.  ``stderr``
+    (parameter standard errors) and ``jac_cond`` (condition number of the
+    price Jacobian) are keyed like ``fitted``.  A standard error is None
+    when a fit has no more quotes than parameters or a rank-deficient
+    Jacobian, a condition number when the Jacobian is singular.
     """
 
     mode: str
@@ -288,28 +290,21 @@ class _Quotes:
 
 
 def _quote_arrays(quotes) -> _Quotes:
-    """Per-quote arrays sorted by (maturity, rate, strike, mid).
+    """Per-quote arrays sorted by (maturity, rate, strike, mid), checked once.
 
     The sort makes the objective bit-identical under reordering of the
-    input chain.
+    input chain.  Quotes that break :func:`load_chain`'s invariants (spot,
+    strike, maturity and mid positive and finite, rate finite and >= 0)
+    raise ``DomainError`` here, because a fit prices the arrays unchecked.
     """
     qs = sorted(quotes, key=lambda q: (round(q.maturity, _MATURITY_DECIMALS),
                                        q.rate, q.strike, q.mid_price))
-    spot = qs[0].spot
-    for rate in {q.rate for q in qs}:
-        MarketEnv(rate=rate, spot=spot)  # reject bad market data before fitting
-    return _Quotes(spot=spot,
-                   maturities=np.array([q.maturity for q in qs]),
-                   rates=np.array([q.rate for q in qs]),
-                   strikes=np.array([q.strike for q in qs]),
-                   mids=np.array([q.mid_price for q in qs]))
-
-
-def _residuals(model_name: str, names, vector, quotes: _Quotes) -> np.ndarray:
-    """Model price minus mid price for every quote, in one pricing call."""
-    model = build_model(model_name, dict(zip(names, vector)))
-    return chain_prices(model, quotes.spot, quotes.maturities, quotes.rates,
-                        quotes.strikes) - quotes.mids
+    maturities, rates, strikes = _chain_arrays(
+        qs[0].spot, [q.maturity for q in qs], [q.rate for q in qs],
+        [q.strike for q in qs])
+    return _Quotes(spot=qs[0].spot, maturities=maturities, rates=rates,
+                   strikes=strikes,
+                   mids=_quote_array([q.mid_price for q in qs], "mid price"))
 
 
 def mse_objective(model_name: str, params, chain: OptionChain) -> float:
@@ -324,7 +319,9 @@ def mse_objective(model_name: str, params, chain: OptionChain) -> float:
         raise DomainError(
             f"{model_name} takes parameters {names}, got vector of "
             f"shape {vector.shape}")
-    res = _residuals(model_name, names, vector, _quote_arrays(chain.quotes))
+    q = _quote_arrays(chain.quotes)
+    model = build_model(model_name, dict(zip(names, vector)))
+    res = chain_prices(model, q.spot, q.maturities, q.rates, q.strikes) - q.mids
     return float(np.sum(res ** 2)) / res.size
 
 
@@ -337,6 +334,7 @@ _FD_STEP = math.sqrt(np.finfo(float).eps)
 # H where a fit that cannot identify it (one maturity) starts
 _MID_HURST = 0.5 * sum(PARAM_BOUNDS["hurst"])
 _HURST_GRID = 65  # H values of the clock start's global search
+_HURST_STEP = 1e-6  # central-difference step of the clock in H
 # the clock start's parameters stay this fraction of the box inside its
 # edges, where the logistic coordinates are infinite
 _EDGE = 1e-4
@@ -356,7 +354,9 @@ def _to_box(u, lo, hi):
 class _ScaledResiduals:
     """Price residuals (prices - mids) / sqrt(n_quotes), whose sum of squares is the MSE.
 
-    A subclass prices in ``_priced``; ``evaluations`` counts those calls.
+    A subclass maps its vector to a model and the clock of every quote in
+    ``_at``; ``_priced`` prices the quotes there, and ``evaluations``
+    counts those calls.
     """
 
     def __init__(self, quotes: _Quotes):
@@ -385,6 +385,13 @@ class _ScaledResiduals:
         shifted[j] += _FD_STEP * (1.0 if u[j] >= 0.0 else -1.0) * max(1.0, abs(u[j]))
         return (self._priced(shifted) - base) / (shifted[j] - u[j])
 
+    def _priced(self, v):
+        self.evaluations += 1
+        model, clocks = self._at(v)
+        q = self.quotes
+        return self.scale * (_prices_at_clock(model, q.spot, q.maturities, q.rates,
+                                              q.strikes, clocks) - q.mids)
+
 
 class _Problem(_ScaledResiduals):
     """Scaled price residuals of one fit and their Jacobian, in logistic coordinates.
@@ -410,25 +417,31 @@ class _Problem(_ScaledResiduals):
         """dp/du; expit(u) * expit(-u) stays positive where 1 - expit(u) rounds to 0."""
         return (self.hi - self.lo) * expit(u) * expit(-u)
 
-    def _priced(self, u):
-        self.evaluations += 1
-        return self.scale * _residuals(self.model_name, self.names,
-                                       self.params(u), self.quotes)
+    def _at(self, u):
+        model = build_model(self.model_name, dict(zip(self.names, self.params(u))))
+        return model, _clock(model, self.quotes.rates, self.quotes.maturities)
 
     def jac(self, u):
-        """d residuals / du: sigma and H columns analytic, alpha a forward difference."""
+        """d residuals / du: sigma and H through the clock, alpha a forward difference.
+
+        dC/dX comes from :func:`_clock_slope`, dX/dsigma = 2 X / sigma and
+        dX/dH is a central difference of :func:`_clock` in H.
+        """
         q = self.quotes
-        model = build_model(self.model_name, dict(zip(self.names, self.params(u))))
-        d_sigma, d_hurst = clock_gradient(model, q.spot, q.maturities, q.rates,
-                                          q.strikes)
-        analytic = {"sigma": d_sigma, "hurst": d_hurst}
+        model, clocks = self._at(u)
+        d_clock = {"sigma": 2.0 * clocks / model.sigma}
+        if "hurst" in self.names:
+            h = model.driver_params.hurst + np.array([[_HURST_STEP], [-_HURST_STEP]])
+            up, down = _clock(model, q.rates, q.maturities, h)
+            d_clock["hurst"] = (up - down) / (2.0 * _HURST_STEP)
+        slope = _clock_slope(model, q.spot, q.maturities, q.rates, q.strikes, clocks)
         slopes = self.param_slopes(u)
         jac = np.empty((q.mids.size, len(self.names)))
         for j, name in enumerate(self.names):
             if name == "alpha":
                 jac[:, j] = self._forward_column(u, j)
             else:
-                jac[:, j] = self.scale * slopes[j] * analytic[name]
+                jac[:, j] = self.scale * slopes[j] * (d_clock[name] * slope)
         return jac
 
     def uncertainty(self, solution):
@@ -481,21 +494,13 @@ class _ClockProblem(_ScaledResiduals):
         """The model at sigma 1 and the alpha of ``v``; its H is not used."""
         return build_model(self.model_name, {"sigma": 1.0, "alpha": self.alpha(v)})
 
-    def _quote_clocks(self, v):
-        return np.exp(v[int(self.cev):])[self.group]
-
-    def _priced(self, v):
-        self.evaluations += 1
-        q = self.quotes
-        return self.scale * (_prices_at_clock(self.unit_model(v), q.spot, q.maturities,
-                                              q.rates, q.strikes, self._quote_clocks(v))
-                             - q.mids)
+    def _at(self, v):
+        return self.unit_model(v), np.exp(v[int(self.cev):])[self.group]
 
     def jac(self, v):
         q = self.quotes
-        clocks = self._quote_clocks(v)
-        slope = _clock_slope(self.unit_model(v), q.spot, q.maturities, q.rates,
-                             q.strikes, clocks)
+        model, clocks = self._at(v)
+        slope = _clock_slope(model, q.spot, q.maturities, q.rates, q.strikes, clocks)
         jac = np.zeros((q.mids.size, v.size))
         jac[np.arange(q.mids.size), int(self.cev) + self.group] = \
             self.scale * clocks * slope
@@ -680,8 +685,8 @@ def fit(chain: OptionChain, model_name: str, mode: str = "joint",
     quote-count-weighted combination of the per-maturity values.
     """
     names = free_parameters(model_name)
+    quotes = _quote_arrays(chain.quotes)  # checks every quote, in either mode
     if mode == "joint":
-        quotes = _quote_arrays(chain.quotes)
         sol = _fit_vector(model_name, names, quotes, cfg)
         return CalibrationReport(
             mode=mode,

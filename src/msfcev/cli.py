@@ -45,6 +45,25 @@ def _market_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--spot", type=float, required=True)
 
 
+_STARTS_HELP = ("optimizer starts: the first is the clock start, solved from "
+                "the chain's term structure; any further starts are random "
+                "points drawn from --seed")
+
+
+def _fit_args(parser: argparse.ArgumentParser, model_flag: str,
+              **model_kwargs) -> None:
+    """The flags of a fit; ``model_flag`` (--model or --models) follows --input."""
+    parser.add_argument("--input", required=True)
+    parser.add_argument(model_flag, required=True, **model_kwargs)
+    parser.add_argument("--mode", choices=["joint", "per_maturity"], default="joint")
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--starts", type=int, default=1, help=_STARTS_HELP)
+    parser.add_argument("--maxiter", type=int, default=400,
+                        help="residual evaluations per start")
+    parser.add_argument("--filter-moneyness", action="store_true")
+    parser.add_argument("--out", default=None)
+
+
 def _build_model(args) -> pricing.ModelSpec:
     return pricing.ModelSpec.make(args.model, sigma=args.sigma, alpha=args.alpha,
                                   hurst=args.hurst, beta=args.beta,
@@ -140,12 +159,19 @@ def _cmd_verify(args) -> int:
     return 0 if all(c.passed for c in checks) else 2
 
 
-def _cmd_calibrate(args) -> int:
+def _chain_and_config(args):
+    """The chain and optimizer settings of the :func:`_fit_args` flags."""
     from . import calibrate as cal
 
     chain = cal.load_chain(args.input, moneyness_filter=args.filter_moneyness)
-    cfg = cal.OptimizerConfig(n_starts=args.starts, seed=args.seed,
-                              maxiter=args.maxiter)
+    return chain, cal.OptimizerConfig(n_starts=args.starts, seed=args.seed,
+                                      maxiter=args.maxiter)
+
+
+def _cmd_calibrate(args) -> int:
+    from . import calibrate as cal
+
+    chain, cfg = _chain_and_config(args)
     report = cal.fit(chain, args.model, args.mode, cfg)
     with _output(args.out) as out:
         out.write(report.to_json() + "\n")
@@ -155,19 +181,12 @@ def _cmd_calibrate(args) -> int:
 def _cmd_compare(args) -> int:
     from . import calibrate as cal
 
-    chain = cal.load_chain(args.input, moneyness_filter=args.filter_moneyness)
+    chain, cfg = _chain_and_config(args)
     catalog = [m.strip() for m in args.models.split(",") if m.strip()]
-    cfg = cal.OptimizerConfig(n_starts=args.starts, seed=args.seed,
-                              maxiter=args.maxiter)
     rows = cal.compare_models(chain, catalog, args.mode, cfg)
     with _output(args.out) as out:
         out.write(cal.comparison_to_json(rows) + "\n")
     return 2 if any(r.failed for r in rows) else 0
-
-
-_STARTS_HELP = ("optimizer starts: the first is the clock start, solved from "
-                "the chain's term structure; any further starts are random "
-                "points drawn from --seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -235,28 +254,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("calibrate", help="fit one model to a chain CSV")
-    p.add_argument("--input", required=True)
-    p.add_argument("--model", required=True, choices=sorted(pricing.MODEL_NAMES))
-    p.add_argument("--mode", choices=["joint", "per_maturity"], default="joint")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--starts", type=int, default=1, help=_STARTS_HELP)
-    p.add_argument("--maxiter", type=int, default=400,
-                   help="residual evaluations per start")
-    p.add_argument("--filter-moneyness", action="store_true")
-    p.add_argument("--out", default=None)
+    _fit_args(p, "--model", choices=sorted(pricing.MODEL_NAMES))
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("compare", help="fit several models and tabulate MSEs")
-    p.add_argument("--input", required=True)
-    p.add_argument("--models", required=True,
-                   help="comma-separated model short names")
-    p.add_argument("--mode", choices=["joint", "per_maturity"], default="joint")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--starts", type=int, default=1, help=_STARTS_HELP)
-    p.add_argument("--maxiter", type=int, default=400,
-                   help="residual evaluations per start")
-    p.add_argument("--filter-moneyness", action="store_true")
-    p.add_argument("--out", default=None)
+    _fit_args(p, "--models", help="comma-separated model short names")
     p.set_defaults(func=_cmd_compare)
     return parser
 

@@ -61,7 +61,6 @@ __all__ = [
     "call_price",
     "call_prices",
     "chain_prices",
-    "clock_gradient",
     "price_curve",
     "write_price_curve_csv",
     "write_density_csv",
@@ -484,17 +483,6 @@ def _prices_at_clock(model: ModelSpec, spot: float, t, r, k, clock) -> np.ndarra
     return prices
 
 
-_HURST_STEP = 1e-6  # central-difference step of M(1, 1+2H, z) in H
-
-
-def _weighted_power_slope(driver: Driver, hurst: float, t):
-    """d/dH of w_H t^(2H), with w_H' = -2^(2H) ln 2 (sub-fractional) or 0."""
-    w = _subfractional_weight(driver, hurst)
-    dw = (-(4.0 ** hurst) * math.log(2.0)
-          if driver == Driver.MIXED_SUB_FRACTIONAL else 0.0)
-    return t ** (2.0 * hurst) * (dw + 2.0 * w * np.log(t))
-
-
 def _clock_slope(model: ModelSpec, spot: float, t, r, k, clock):
     """dC/dX of every quote at the clock X; arguments as for :func:`_prices_at_clock`.
 
@@ -511,43 +499,6 @@ def _clock_slope(model: ModelSpec, spot: float, t, r, k, clock):
     a = model.alpha
     y, z = _chi2_coordinates(a, spot, t, r, k, clock)
     return np.exp(-r * t) * k ** a * _density(a, 1.0 / clock, y, z) / (2.0 - a) ** 2
-
-
-def clock_gradient(model: ModelSpec, spot: float, maturities, rates, strikes):
-    """dC/dsigma and dC/dH of every quote of :func:`chain_prices`, without pricing.
-
-    sigma and H move a price only through its clock X = sigma^2 g(H): the
-    effective variance Phi(T) for the CEV family, the total variance v for
-    the BS family.  So dC/dsigma = (2 X / sigma) dC/dX and
-    dC/dH = (dX/dH) dC/dX, with dC/dX from :func:`_clock_slope`.  dX/dH
-    is closed form but for M(1, 1+2H, z) in Phi, whose H derivative is a
-    central difference.  Returns ``(d_sigma, d_hurst)`` arrays, ``d_hurst``
-    None for the classical driver.  alpha also moves the chi-squared
-    degrees of freedom, which have no closed-form derivative, so it is not
-    covered here.
-    """
-    t, r, k = _chain_arrays(spot, maturities, rates, strikes)
-    p = model.driver_params
-    clock = _clock(model, r, t)
-    slope = _clock_slope(model, spot, t, r, k, clock)
-    d_sigma = 2.0 * clock / model.sigma * slope
-    if model.driver == Driver.CLASSICAL:
-        return d_sigma, None
-    scale = model.sigma ** 2 * p.gamma ** 2
-    power_slope = _weighted_power_slope(model.driver, p.hurst, t)
-    if model.family == Family.BS:
-        return d_sigma, scale * power_slope * slope
-    a = model.alpha
-    kummer_z = (2.0 - a) * r * t
-    b = 1.0 + 2.0 * p.hurst
-    m_slope = ((special.hyp1f1(1.0, b + 2.0 * _HURST_STEP, kummer_z)
-                - special.hyp1f1(1.0, b - 2.0 * _HURST_STEP, kummer_z))
-               / (2.0 * _HURST_STEP))
-    d_clock = 0.5 * scale * (2.0 - a) ** 2 * (
-        power_slope * special.hyp1f1(1.0, b, kummer_z)
-        + _subfractional_weight(model.driver, p.hurst)
-        * t ** (2.0 * p.hurst) * m_slope)
-    return d_sigma, d_clock * slope
 
 
 def call_prices(model: ModelSpec, env: MarketEnv, maturity: float,

@@ -32,8 +32,8 @@ from scipy import integrate
 from scipy.linalg.lapack import dgtsv
 
 from .errors import DomainError, NumericalError
-from .pricing import (Driver, Family, MarketEnv, ModelSpec, _density,
-                      _subfractional_weight, call_price, cev_intermediates,
+from .pricing import (Driver, Family, MarketEnv, ModelSpec, _cev_coordinates,
+                      _density, _subfractional_weight, call_price,
                       diffusion_kernel, driver_variance, effective_variance,
                       transition_density)
 from .process import block_rng
@@ -378,6 +378,12 @@ _GAUSS_WEIGHTS = np.concatenate((_GAUSS_HALF_WEIGHTS[:-1],
 _TINY = float(np.finfo(np.float64).tiny)  # smallest normal float64
 
 
+def _scale_and_spot(model: ModelSpec, env: MarketEnv, maturity: float):
+    """k_s = 1/Phi(T) and the spot's chi-squared coordinate y_s, as floats."""
+    phi, y_s, _ = _cev_coordinates(model, env.spot, maturity, env.rate, 0.0)
+    return 1.0 / float(phi), float(y_s)
+
+
 def quadrature_price(model: ModelSpec, env: MarketEnv, maturity: float,
                      strike: float) -> float:
     """Discounted payoff integrated against the transition density.
@@ -396,10 +402,9 @@ def quadrature_price(model: ModelSpec, env: MarketEnv, maturity: float,
     if model.family != Family.CEV:
         raise DomainError("quadrature_price covers the CEV family only")
     _check_inputs(maturity, strike, zero_strike_ok=True)
-    ints = cev_intermediates(model, env, maturity, strike=max(strike, 1e-12))
+    k_s, y_s = _scale_and_spot(model, env, maturity)
     a = model.alpha
     nu = 1.0 / (2.0 - a)
-    k_s, y_s = ints.k_s, ints.y_s
     u_k = math.sqrt(k_s * strike ** (2.0 - a))
     centre = math.sqrt(y_s + nu + 1.0)
     d = max(u_k - centre, 0.0)
@@ -461,9 +466,9 @@ def run_checks(model: ModelSpec, env: MarketEnv, maturity: float, strike: float,
             mc = mc_price_cev_classical(model, env, maturity, strike, cfg)
             checks.append(_mc_check("euler_mc_z_score", mc, price))
         if with_fpe:
-            ints = cev_intermediates(model, env, maturity, strike)
+            k_s, y_s = _scale_and_spot(model, env, maturity)
             x0 = env.spot ** (2.0 - model.alpha)
-            x_hi = (ints.y_s + 12.0 * math.sqrt(ints.y_s) + 60.0) / ints.k_s
+            x_hi = (y_s + 12.0 * math.sqrt(y_s) + 60.0) / k_s
             grid = FpeGrid(x_min=0.0, x_max=max(x_hi, 1.5 * x0), n_space=2400,
                            n_time=600)
             sol = solve_fpe(model, env, maturity, grid)

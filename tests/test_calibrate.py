@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import logging
@@ -110,9 +111,9 @@ class TestObjective:
     def test_outside_fit_box_is_plain_mse(self, msfcev_chain):
         # sigma 9 is a valid model outside PARAM_BOUNDS: no box penalty
         assert 9.0 > cal.PARAM_BOUNDS["sigma"][1]
-        names = cal.free_parameters("msfcev")
-        res = cal._residuals("msfcev", names, np.array([9.0, 1.2, 0.75]),
-                             cal._quote_arrays(msfcev_chain.quotes))
+        model = ModelSpec.make("msfcev", sigma=9.0, alpha=1.2, hurst=0.75)
+        q = cal._quote_arrays(msfcev_chain.quotes)
+        res = chain_prices(model, q.spot, q.maturities, q.rates, q.strikes) - q.mids
         assert cal.mse_objective("msfcev", [9.0, 1.2, 0.75], msfcev_chain) == \
             float(np.sum(res ** 2)) / res.size
 
@@ -127,6 +128,36 @@ class TestObjective:
         assert cal.free_parameters("msfcev") == ("sigma", "alpha", "hurst")
         with pytest.raises(DomainError):
             cal.free_parameters("heston")
+
+
+# quotes that break load_chain's invariants, with the start of the error
+_BAD_QUOTES = ([("strike", v, "strikes must be positive") for v in
+                (math.nan, math.inf, 0.0, -5.0)]
+               + [("maturity", v, "maturity must be positive") for v in
+                  (math.nan, math.inf, 0.0)]
+               + [("rate", v, "rate must be >= 0") for v in
+                  (math.nan, math.inf, -0.01)]
+               + [("mid_price", v, "mid price must be positive") for v in
+                  (math.nan, math.inf, 0.0, -1.0)])
+
+
+@pytest.mark.parametrize("name,params", [("msfbs", [0.2, 0.75]),
+                                         ("cev", [0.3, 1.2])])
+@pytest.mark.parametrize("field,value,message", _BAD_QUOTES)
+def test_bad_quote_rejected_where_it_enters(small_chain, quick_optimizer, name,
+                                            params, field, value, message):
+    """fit, mse_objective and compare_models check a hand-built chain's quotes."""
+    quotes = list(small_chain.quotes)
+    quotes[3] = dataclasses.replace(quotes[3], **{field: value})
+    chain = cal.OptionChain(quote_date=small_chain.quote_date,
+                            quotes=tuple(quotes))
+    for mode in ("joint", "per_maturity"):
+        with pytest.raises(DomainError, match=message):
+            cal.fit(chain, name, mode, quick_optimizer)
+    with pytest.raises(DomainError, match=message):
+        cal.mse_objective(name, params, chain)
+    (row,) = cal.compare_models(chain, [name], "joint", quick_optimizer)
+    assert row.failed and row.error.startswith(message)
 
 
 def _noisy_msfcev_chain(env):
@@ -285,7 +316,7 @@ class TestFit:
         def reject(*args):
             raise DomainError("outside the pricing domain")
 
-        monkeypatch.setattr(cal, "chain_prices", reject)
+        monkeypatch.setattr(cal, "_prices_at_clock", reject)  # every stage
         cfg = cal.OptimizerConfig(n_starts=3, seed=0)
         with caplog.at_level(logging.WARNING, logger=cal.log.name):
             with pytest.raises(CalibrationError):
@@ -294,13 +325,15 @@ class TestFit:
         assert "clock start" in caplog.records[0].getMessage()
         assert "random start" in caplog.records[1].getMessage()
 
-    @pytest.mark.parametrize("stage", ["_prices_at_clock", "_clock_parameters"])
+    # stage 1 fails where it maps its vector to clocks, stage 2 where it
+    # reads the parameters off them; the later stages price as before
+    @pytest.mark.parametrize("stage", ["_ClockProblem._at", "_clock_parameters"])
     def test_clock_start_that_raises_skipped(self, small_chain, monkeypatch,
                                              caplog, stage):
         def reject(*args):
             raise DomainError("outside the pricing domain")
 
-        monkeypatch.setattr(cal, stage, reject)
+        monkeypatch.setattr(f"{cal.__name__}.{stage}", reject)
         cfg = cal.OptimizerConfig(n_starts=2, seed=0)
         with caplog.at_level(logging.WARNING, logger=cal.log.name):
             report = cal.fit(small_chain, "msfcev", "joint", cfg)
@@ -506,9 +539,12 @@ class TestUncertainty:
         sigma = report.fitted["joint"]["sigma"]
         quotes = cal._quote_arrays(chain.quotes)
         step = 1e-6 * sigma
-        slope = (cal._residuals("bs", ("sigma",), [sigma + step], quotes)
-                 - cal._residuals("bs", ("sigma",), [sigma - step], quotes)) \
-            / (2.0 * step)
+
+        def prices(s):
+            return chain_prices(cal.build_model("bs", {"sigma": s}), quotes.spot,
+                                quotes.maturities, quotes.rates, quotes.strikes)
+
+        slope = (prices(sigma + step) - prices(sigma - step)) / (2.0 * step)
         n = quotes.mids.size
         want = math.sqrt(report.total_mse * n / (n - 1) / np.sum(slope ** 2))
         assert report.stderr["joint"]["sigma"] == pytest.approx(want, rel=1e-6)
