@@ -2,8 +2,10 @@
 
 Protocol: minimize the mean of (model price - mid price)^2 over the
 quotes, either jointly (one parameter set for all maturities) or per
-maturity.  Mixed drivers keep beta = gamma = 1 fixed; the free parameters
-per model are
+maturity.  The quotes are grouped into maturities once, by maturity
+rounded to 6 decimals, and a per-maturity fit is the joint fit of each
+group's quotes.  Mixed drivers keep beta = gamma = 1 fixed; the free
+parameters per model are
 
     bs            sigma
     mfbs, msfbs   sigma, hurst
@@ -108,9 +110,6 @@ class OptionChain:
     def spot(self) -> float:
         return self.quotes[0].spot
 
-    def maturities(self) -> list:
-        return sorted({round(q.maturity, _MATURITY_DECIMALS) for q in self.quotes})
-
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -128,8 +127,9 @@ class OptimizerConfig:
     polish_maxiter: int = 1500
 
     def __post_init__(self) -> None:
-        if self.n_starts < 1:
-            raise DomainError("n_starts must be at least 1")
+        for name in ("n_starts", "maxiter", "polish_maxiter"):
+            if getattr(self, name) < 1:
+                raise DomainError(f"{name} must be at least 1")
         if not 0 <= self.seed < 2 ** 64:
             raise DomainError("seed must be an unsigned 64-bit integer")
 
@@ -280,31 +280,47 @@ def write_chain_csv(chain: OptionChain, target) -> None:
 
 @dataclass(frozen=True)
 class _Quotes:
-    """A chain's quotes as per-quote arrays, built once per fit."""
+    """A chain's quotes as per-quote arrays, built once per fit by _quote_arrays."""
 
     spot: float
     maturities: np.ndarray
     rates: np.ndarray
     strikes: np.ndarray
     mids: np.ndarray
+    starts: np.ndarray  # index of each maturity group's first quote
+
+    def keys(self) -> list:
+        """Each maturity group's key: its first quote's maturity to 6 decimals."""
+        return [f"{t:.{_MATURITY_DECIMALS}f}" for t in self.maturities[self.starts]]
+
+    def groups(self) -> dict:
+        """Each maturity group's quotes, as quotes of their own, by key."""
+        ends = [*self.starts[1:], self.mids.size]
+        return {key: _Quotes(self.spot, self.maturities[i:j], self.rates[i:j],
+                             self.strikes[i:j], self.mids[i:j], np.zeros(1, int))
+                for key, i, j in zip(self.keys(), self.starts, ends)}
 
 
 def _quote_arrays(quotes) -> _Quotes:
-    """Per-quote arrays sorted by (maturity, rate, strike, mid), checked once.
+    """Per-quote arrays sorted by (maturity group, rate, strike, mid), checked once.
 
-    The sort makes the objective bit-identical under reordering of the
+    A maturity group is the quotes whose maturities round to the same 6
+    decimals.  The sort makes every fit bit-identical under reordering of the
     input chain.  Quotes that break :func:`load_chain`'s invariants (spot,
     strike, maturity and mid positive and finite, rate finite and >= 0)
     raise ``DomainError`` here, because a fit prices the arrays unchecked.
     """
-    qs = sorted(quotes, key=lambda q: (round(q.maturity, _MATURITY_DECIMALS),
-                                       q.rate, q.strike, q.mid_price))
+    rows = sorted(((round(q.maturity, _MATURITY_DECIMALS), q.rate, q.strike,
+                    q.mid_price, q) for q in quotes), key=lambda row: row[:4])
+    qs = [row[-1] for row in rows]
+    rounded = np.array([row[0] for row in rows])
     maturities, rates, strikes = _chain_arrays(
         qs[0].spot, [q.maturity for q in qs], [q.rate for q in qs],
         [q.strike for q in qs])
     return _Quotes(spot=qs[0].spot, maturities=maturities, rates=rates,
                    strikes=strikes,
-                   mids=_quote_array([q.mid_price for q in qs], "mid price"))
+                   mids=_quote_array([q.mid_price for q in qs], "mid price"),
+                   starts=np.flatnonzero(np.r_[True, rounded[1:] != rounded[:-1]]))
 
 
 def mse_objective(model_name: str, params, chain: OptionChain) -> float:
@@ -478,10 +494,9 @@ class _ClockProblem(_ScaledResiduals):
         super().__init__(quotes)
         self.model_name = model_name
         self.cev = MODEL_NAMES[model_name][0] == Family.CEV
-        keys = [(round(float(t), _MATURITY_DECIMALS), float(r))
-                for t, r in zip(quotes.maturities, quotes.rates)]
-        # the quotes are sorted by these keys, so groups are contiguous
-        new = np.array([True] + [a != b for a, b in zip(keys, keys[1:])])
+        # the quotes are sorted by maturity group, then rate
+        new = np.r_[True, quotes.rates[1:] != quotes.rates[:-1]]
+        new[quotes.starts] = True
         self.group = np.cumsum(new) - 1
         self.first = np.flatnonzero(new)
         self.maturities = quotes.maturities[self.first]
@@ -552,8 +567,7 @@ def _clock_parameters(model_name: str, names, stage1: _ClockProblem, v) -> np.nd
         return log_var, np.sum((misfit - log_var[:, None]) ** 2, axis=1)
 
     hurst = _MID_HURST
-    distinct = {round(float(t), _MATURITY_DECIMALS) for t in stage1.maturities}
-    if "hurst" in names and len(distinct) > 1:
+    if "hurst" in names and stage1.quotes.starts.size > 1:
         grid = np.linspace(*PARAM_BOUNDS["hurst"], _HURST_GRID)
         best = int(np.argmin(profile(grid)[1]))
         centre = grid[best]
@@ -665,75 +679,59 @@ def _fit_vector(model_name: str, names, quotes: _Quotes,
                      converged=best.status > 0, stderr=stderr, jac_cond=cond)
 
 
-def _per_maturity_mse(quotes: _Quotes, residuals) -> dict:
-    """Mean squared residual per maturity, keyed by its first quote's maturity."""
-    keys = [round(float(t), _MATURITY_DECIMALS) for t in quotes.maturities]
-    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
-    sq = residuals ** 2
-    return {f"{quotes.maturities[i]:.6f}": float(np.mean(sq[group == g]))
-            for g, i in enumerate(first)}
+def _per_maturity_mse(quotes: _Quotes, sol: _Solution) -> dict:
+    """Each maturity group's mean squared residual under one fit.
+
+    A fit of one group reports its own MSE for it.
+    """
+    if quotes.starts.size == 1:
+        return dict.fromkeys(quotes.keys(), sol.mse)
+    return {key: float(np.mean(sq)) for key, sq in
+            zip(quotes.keys(), np.split(sol.residuals ** 2, quotes.starts[1:]))}
 
 
 def fit(chain: OptionChain, model_name: str, mode: str = "joint",
         cfg: OptimizerConfig = OptimizerConfig()) -> CalibrationReport:
     """Calibrate one model to the chain.
 
-    ``mode`` is ``joint`` (one parameter set for every maturity) or
-    ``per_maturity`` (independent fits; maturities with fewer than two
-    quotes are skipped with a warning).  ``total_mse`` is the mean of
-    squared errors over all quotes in scope, equivalently the
-    quote-count-weighted combination of the per-maturity values.
+    ``mode`` is ``joint`` (one fit of every quote) or ``per_maturity``
+    (each maturity group of :func:`_quote_arrays` fitted as a chain of its
+    own; groups with fewer than two quotes are skipped with a warning).
+    ``total_mse`` is the mean of squared errors over all quotes in scope,
+    equivalently the quote-count-weighted combination of the fits' MSEs.
     """
     names = free_parameters(model_name)
     quotes = _quote_arrays(chain.quotes)  # checks every quote, in either mode
     if mode == "joint":
-        sol = _fit_vector(model_name, names, quotes, cfg)
-        return CalibrationReport(
-            mode=mode,
-            fitted={"joint": dict(zip(names, (float(v) for v in sol.params)))},
-            mse_per_maturity=_per_maturity_mse(quotes, sol.residuals),
-            total_mse=sol.mse,
-            iterations=sol.iterations,
-            converged=sol.converged,
-            evaluations=sol.evaluations,
-            stderr={"joint": sol.stderr},
-            jac_cond={"joint": sol.jac_cond},
-        )
-    if mode != "per_maturity":
-        raise DomainError(f"mode must be 'joint' or 'per_maturity', got {mode!r}")
-    fitted = {}
-    mse_map = {}
-    stderr = {}
-    jac_cond = {}
-    iterations = 0
-    evaluations = 0
-    converged = True
-    sse = 0.0
-    n_scope = 0
-    for t_key in chain.maturities():
-        quotes = [q for q in chain.quotes
-                  if round(q.maturity, _MATURITY_DECIMALS) == t_key]
-        if len(quotes) < 2:
-            warnings.warn(f"maturity {t_key}: fewer than two quotes, skipped",
+        scopes = {"joint": quotes}
+    elif mode == "per_maturity":
+        scopes = quotes.groups()
+        for key in [k for k, q in scopes.items() if q.mids.size < 2]:
+            warnings.warn(f"maturity {key}: fewer than two quotes, skipped",
                           RuntimeWarning, stacklevel=2)
-            continue
-        sol = _fit_vector(model_name, names, _quote_arrays(quotes), cfg)
-        key = f"{quotes[0].maturity:.6f}"
-        fitted[key] = dict(zip(names, (float(v) for v in sol.params)))
-        mse_map[key] = sol.mse
-        stderr[key] = sol.stderr
-        jac_cond[key] = sol.jac_cond
-        iterations += sol.iterations
-        evaluations += sol.evaluations
-        converged = converged and sol.converged
-        sse += sol.mse * len(quotes)
-        n_scope += len(quotes)
-    if not fitted:
-        raise CalibrationError("per-maturity fit found no usable maturity group")
-    return CalibrationReport(mode=mode, fitted=fitted, mse_per_maturity=mse_map,
-                             total_mse=sse / n_scope, iterations=iterations,
-                             converged=converged, evaluations=evaluations,
-                             stderr=stderr, jac_cond=jac_cond)
+            del scopes[key]
+        if not scopes:
+            raise CalibrationError("per-maturity fit found no usable maturity group")
+    else:
+        raise DomainError(f"mode must be 'joint' or 'per_maturity', got {mode!r}")
+    sols = {key: _fit_vector(model_name, names, q, cfg) for key, q in scopes.items()}
+    mse_per_maturity = {}
+    for key, sol in sols.items():
+        mse_per_maturity.update(_per_maturity_mse(scopes[key], sol))
+    mse, n = [s.mse for s in sols.values()], [q.mids.size for q in scopes.values()]
+    # the quote-weighted mean; a single fit's MSE is kept exactly
+    total_mse = mse[0] if len(mse) == 1 else sum(a * b for a, b in zip(mse, n)) / sum(n)
+    return CalibrationReport(
+        mode=mode,
+        fitted={key: dict(zip(names, map(float, s.params))) for key, s in sols.items()},
+        mse_per_maturity=mse_per_maturity,
+        total_mse=total_mse,
+        iterations=sum(s.iterations for s in sols.values()),
+        converged=all(s.converged for s in sols.values()),
+        evaluations=sum(s.evaluations for s in sols.values()),
+        stderr={key: s.stderr for key, s in sols.items()},
+        jac_cond={key: s.jac_cond for key, s in sols.items()},
+    )
 
 
 def compare_models(chain: OptionChain, catalog, mode: str = "joint",

@@ -106,6 +106,8 @@ def _cmd_density(args) -> int:
     s_min = args.s_min if args.s_min is not None else 0.05 * args.spot
     if not 0.0 < s_min < s_max:
         raise DomainError("need 0 < s-min < s-max")
+    if args.points < 2:
+        raise DomainError(f"--points must be at least 2, got {args.points}")
     grid = np.linspace(s_min, s_max, args.points)
     dens = pricing.transition_density(model, env, args.maturity, grid)
     with _output(args.out) as out:

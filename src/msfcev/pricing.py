@@ -208,8 +208,8 @@ def diffusion_kernel(driver: Driver, hurst: float, t: float) -> float:
     """
     if not 0.5 <= hurst < 1.0:
         raise DomainError(f"hurst must lie in [1/2, 1), got {hurst!r}")
-    if t < 0.0:
-        raise DomainError(f"time must be >= 0, got {t!r}")
+    if not 0.0 <= t < math.inf:
+        raise DomainError(f"time must be finite and >= 0, got {t!r}")
     if driver == Driver.CLASSICAL:
         return 0.5
     return hurst * t ** (2.0 * hurst - 1.0) * _subfractional_weight(driver, hurst)
@@ -227,8 +227,8 @@ def driver_variance(driver: Driver, params: MixedDriverParams, t):
 
     Broadcasts over an array of times.
     """
-    if np.less(t, 0.0).any():
-        raise DomainError(f"time must be >= 0, got {t!r}")
+    if not (np.greater_equal(t, 0.0) & np.less(t, math.inf)).all():
+        raise DomainError(f"time must be finite and >= 0, got {t!r}")
     return _driver_variance(driver, params, t)
 
 

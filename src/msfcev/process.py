@@ -71,6 +71,7 @@ class TimeGrid:
 
     def __init__(self, times) -> None:
         t = tuple(float(v) for v in times)
+        _check_times(*t)
         if len(t) < 2:
             raise DomainError("time grid needs at least two points")
         if t[0] != 0.0:
@@ -111,20 +112,25 @@ class PathBatch:
                    comments="", fmt="%.17g")
 
 
+def _check_times(*times) -> None:
+    """Reject NaN, infinite and negative times where they enter."""
+    for t in times:
+        if not 0.0 <= t < math.inf:
+            raise DomainError(f"times must be finite and >= 0, got {t!r}")
+
+
 def sfbm_covariance(s: float, t: float, hurst: float) -> float:
     """Covariance of the sub-fractional component at times s, t >= 0."""
     if not 0.0 < hurst < 1.0:
         raise DomainError(f"hurst must lie in (0, 1), got {hurst!r}")
-    if s < 0.0 or t < 0.0:
-        raise DomainError("times must be >= 0")
+    _check_times(s, t)
     h2 = 2.0 * hurst
     return s ** h2 + t ** h2 - 0.5 * ((s + t) ** h2 + abs(t - s) ** h2)
 
 
 def msfbm_covariance(s: float, t: float, params: MixedDriverParams) -> float:
     """Covariance of the mixed driver: beta^2 min(s,t) + gamma^2 * sub-fractional part."""
-    if s < 0.0 or t < 0.0:
-        raise DomainError("times must be >= 0")
+    _check_times(s, t)
     out = params.beta ** 2 * min(s, t)
     if params.gamma != 0.0:
         out += params.gamma ** 2 * sfbm_covariance(s, t, params.hurst)

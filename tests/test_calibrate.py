@@ -86,7 +86,8 @@ class TestLoadChain:
     def test_sample_chain_file_parses(self):
         chain = cal.load_chain("data/sample_chain.csv")
         assert len(chain.quotes) == 50
-        assert len(chain.maturities()) == 5
+        assert cal._quote_arrays(chain.quotes).keys() == [
+            "0.250000", "0.500000", "1.000000", "1.500000", "2.000000"]
 
 
 class TestObjective:
@@ -304,6 +305,14 @@ class TestFit:
         # no upper limit: starts are drawn one at a time, never built up front
         assert cal.OptimizerConfig(n_starts=2 ** 30 + 1).n_starts == 2 ** 30 + 1
 
+    @pytest.mark.parametrize("field", ["maxiter", "polish_maxiter"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_budget_below_one_rejected(self, field, value):
+        # least_squares would refuse it only once a fit runs, with a ValueError
+        with pytest.raises(DomainError, match=f"{field} must be at least 1"):
+            cal.OptimizerConfig(**{field: value})
+        assert getattr(cal.OptimizerConfig(**{field: 1}), field) == 1
+
     def test_exhausted_budget_not_converged(self, small_chain):
         # the path behind the calibrate command's exit code 2
         cfg = cal.OptimizerConfig(n_starts=1, seed=0, maxiter=2,
@@ -361,6 +370,39 @@ class TestFit:
         assert set(data["stderr"]["joint"]) == {"sigma", "alpha"}
         assert set(data["jac_cond"]) == {"joint"}
 
+    @pytest.mark.parametrize("mode", ["joint", "per_maturity"])
+    def test_close_maturities_form_one_group(self, small_chain,
+                                             quick_optimizer, mode):
+        # 0.5000001 rounds to 0.5 at 6 decimals: one group, one key
+        moved = tuple(dataclasses.replace(q, maturity=0.5000001)
+                      if q.maturity == 0.5 and q.strike > 102.0 else q
+                      for q in small_chain.quotes)
+        assert {q.maturity for q in moved} == {0.5, 0.5000001, 1.0}
+        chain = cal.OptionChain(quote_date=small_chain.quote_date, quotes=moved)
+        report = cal.fit(chain, "cev", mode, quick_optimizer)
+        assert list(report.mse_per_maturity) == ["0.500000", "1.000000"]
+        if mode == "per_maturity":
+            assert list(report.fitted) == ["0.500000", "1.000000"]
+            # the group is fitted as one chain: all five of its quotes
+            alone = cal.OptionChain(
+                quote_date=chain.quote_date,
+                quotes=tuple(q for q in moved if q.maturity < 0.6))
+            assert cal.fit(alone, "cev", "joint", quick_optimizer).total_mse == \
+                report.mse_per_maturity["0.500000"]
+        else:
+            assert list(report.fitted) == ["joint"]
+
+    def test_shuffled_chain_same_per_maturity_report(self, msfcev_chain,
+                                                     quick_optimizer):
+        quotes = list(msfcev_chain.quotes)
+        random.Random(11).shuffle(quotes)
+        shuffled = cal.OptionChain(quote_date=msfcev_chain.quote_date,
+                                   quotes=tuple(quotes))
+        base = cal.fit(msfcev_chain, "msfcev", "per_maturity", quick_optimizer)
+        again = cal.fit(shuffled, "msfcev", "per_maturity", quick_optimizer)
+        assert again.to_json() == base.to_json()
+        assert list(again.fitted) == list(base.fitted)
+
     def test_total_mse_is_quote_weighted_mean(self, env100, quick_optimizer):
         model = ModelSpec.make("msfcev", sigma=0.3, alpha=1.2, hurst=0.75)
         chain = cal.synthetic_chain(model, env100, (0.5, 1.0), n_strikes=5,
@@ -379,7 +421,8 @@ def _clock_case(name, values, maturities, rate=0.05):
     n = len(maturities)
     quotes = cal._Quotes(spot=100.0, maturities=np.repeat(maturities, 2),
                          rates=np.full(2 * n, rate),
-                         strikes=np.tile([90.0, 110.0], n), mids=np.ones(2 * n))
+                         strikes=np.tile([90.0, 110.0], n), mids=np.ones(2 * n),
+                         starts=np.arange(0, 2 * n, 2))
     stage1 = cal._ClockProblem(name, quotes)
     v = []
     if stage1.cev:
@@ -443,7 +486,8 @@ class TestClockStart:
         quotes = cal._Quotes(quotes.spot, quotes.maturities, quotes.rates,
                              quotes.strikes,
                              chain_prices(model, quotes.spot, quotes.maturities,
-                                          quotes.rates, quotes.strikes))
+                                          quotes.rates, quotes.strikes),
+                             quotes.starts)
         stage1 = cal._ClockProblem(name, quotes)
         solved = optimize.least_squares(stage1, stage1.start(), jac=stage1.jac,
                                         method="trf")
@@ -459,7 +503,7 @@ def _quotes_at(rate):
     return cal._Quotes(spot=100.0, maturities=np.repeat([0.25, 1.0, 2.0], 3),
                        rates=np.full(9, rate),
                        strikes=np.tile([80.0, 100.0, 120.0], 3),
-                       mids=np.zeros(9))
+                       mids=np.zeros(9), starts=np.array([0, 3, 6]))
 
 
 def _jacobian_cases():

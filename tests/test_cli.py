@@ -109,6 +109,16 @@ class TestDensity:
         assert data.shape == (50, 2)
         assert np.all(data[:, 1] >= 0.0)
 
+    @pytest.mark.parametrize("points", ["-1", "0", "1"])
+    def test_fewer_than_two_points_exit_one(self, capsys, points):
+        # -1 ended in numpy's ValueError, 0 printed a bare header and exited 0
+        code, out, err = run(capsys, [
+            "density", "--model", "msfcev", "--sigma", "0.3", "--alpha", "1.5",
+            "--hurst", "0.7", "--rate", "0.05", "--spot", "100",
+            "--maturity", "0.25", "--points", points])
+        assert (code, out) == (1, "")
+        assert err == f"error: --points must be at least 2, got {points}\n"
+
 
 class TestNearAlphaTwo:
     # the Bessel factor has no float64 evaluation at this point
@@ -148,6 +158,14 @@ class TestSimulate:
                                     "0.7", "--n-paths", "4", "--seed", "1"])
         assert code == 1
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("times", ["0,nan", "0,1,inf"])
+    def test_non_finite_time_exit_one(self, capsys, times):
+        # 0,nan printed rows of nan and exited 0
+        code, out, err = run(capsys, ["simulate", "--times", times, "--hurst",
+                                      "0.75", "--n-paths", "2", "--seed", "1"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: times must be finite and >= 0, got ")
 
 
 VERIFY_ARGS = ["verify", "--model", "msfcev", "--sigma", "0.3", "--alpha", "1.2",
@@ -324,6 +342,14 @@ class TestCalibrateCommand:
             "--seed", "-1"])
         assert (code, out) == (1, "")
         assert err == "error: seed must be an unsigned 64-bit integer\n"
+
+    def test_zero_maxiter_exit_one(self, capsys):
+        # ended in scipy's ValueError traceback from least_squares
+        code, out, err = run(capsys, [
+            "calibrate", "--input", SAMPLE_CHAIN, "--model", "cev",
+            "--seed", "1", "--maxiter", "0"])
+        assert (code, out) == (1, "")
+        assert err == "error: maxiter must be at least 1\n"
 
 
 class TestCompareCommand:

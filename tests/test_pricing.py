@@ -64,6 +64,13 @@ class TestDiffusionKernel:
         with pytest.raises(DomainError):
             diffusion_kernel(Driver.MIXED_SUB_FRACTIONAL, 0.7, -1.0)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, t):
+        # t^(2H-1) would return NaN or inf
+        for driver in Driver:
+            with pytest.raises(DomainError, match="finite"):
+                diffusion_kernel(driver, 0.7, t)
+
 
 class TestModelSpec:
     def test_classical_canonicalization(self):
@@ -761,6 +768,14 @@ class TestPriceCurve:
 
 
 class TestDriverVariance:
+    @pytest.mark.parametrize("t", [math.inf, math.nan, -1.0,
+                                   np.array([1.0, math.inf]),
+                                   np.array([math.nan, 1.0])])
+    def test_bad_time_rejected(self, t):
+        p = MixedDriverParams(hurst=0.7)
+        with pytest.raises(DomainError, match="finite and >= 0"):
+            driver_variance(Driver.MIXED_SUB_FRACTIONAL, p, t)
+
     def test_values(self):
         p = MixedDriverParams(hurst=0.7, beta=1.0, gamma=1.0)
         t = 2.0

@@ -42,6 +42,15 @@ class TestCovariances:
             with pytest.raises(DomainError):
                 sfbm_covariance(1.0, 2.0, h)
 
+    @pytest.mark.parametrize("s,t", [(math.nan, 1.0), (1.0, math.inf),
+                                     (-1.0, 1.0)])
+    def test_bad_times_rejected(self, s, t):
+        # NaN and inf would come back as a NaN covariance
+        with pytest.raises(DomainError, match="times must be finite and >= 0"):
+            sfbm_covariance(s, t, 0.7)
+        with pytest.raises(DomainError, match="times must be finite and >= 0"):
+            msfbm_covariance(t, s, MixedDriverParams(hurst=0.7))
+
     def test_msfbm_examples(self):
         pure_bm = MixedDriverParams(hurst=0.7, beta=1.0, gamma=0.0)
         assert msfbm_covariance(1.0, 2.0, pure_bm) == 1.0
@@ -161,6 +170,14 @@ class TestTimeGrid:
             TimeGrid([0.0, 1.0, 1.0])
         with pytest.raises(DomainError):
             TimeGrid([0.0, 1.0, 1.0 + 1e-14])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, bad):
+        # named as what it is, not as a too-close pair of times
+        with pytest.raises(DomainError, match=f"finite and >= 0, got {bad}"):
+            TimeGrid([0.0, 1.0, bad])
+        with pytest.raises(DomainError, match="finite"):
+            TimeGrid([0.0, bad])
 
     def test_basic(self):
         g = TimeGrid([0, 0.5, 1])
