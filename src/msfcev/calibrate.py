@@ -12,8 +12,9 @@ parameters per model are
     cev           sigma, alpha
     mfcev, msfcev sigma, alpha, hurst
 
-The optimizer is trust-region least squares (TRF) on the price
-residuals, in a logistic reparameterization of the bounded box;
+The optimizer is trust-region least squares on the price residuals, in a
+logistic reparameterization of the bounded box: :func:`_trf`, scipy's TRF
+ported into this module, so a fit imports none of scipy's optimizers;
 deterministic for a given seed.
 
 sigma and H move a price only through its clock X(T) = sigma^2 g(H)
@@ -47,7 +48,7 @@ import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import optimize
+from scipy.linalg import svd
 from scipy.special import expit, logit
 
 from .errors import CalibrationError, ChainFormatError, DomainError
@@ -390,9 +391,9 @@ class _ScaledResiduals:
         """d residuals / du[j] by scipy's 2-point forward difference.
 
         The step is sqrt(eps) * max(1, |u[j]|) with the sign of u[j].
-        scipy calls ``jac(u)`` right after it evaluates the residuals at u,
-        so the difference takes them from the last call instead of pricing
-        u again.
+        :func:`_trf` calls ``jac(u)`` right after it evaluates the residuals
+        at u, so the difference takes them from the last call instead of
+        pricing u again.
         """
         last_u, base = self._last
         if last_u is None or not np.array_equal(u, last_u):
@@ -542,6 +543,80 @@ class _ClockProblem(_ScaledResiduals):
             q.spot ** (2.0 - a) * (2.0 - a) ** 2 * var / 2.0)))
 
 
+def _brent_bounded(func, lo, hi, xatol):
+    """The minimiser of ``func`` on [lo, hi] by Brent's bounded search.
+
+    Golden-section and parabolic steps, at most 500 evaluations of
+    ``func``, as scipy's ``minimize_scalar(func, bounds=(lo, hi),
+    method="bounded", options={"xatol": xatol}).x``: ported operation for
+    operation from scipy 1.17's ``_minimize_scalar_bounded`` (fminbound;
+    BSD-3-Clause, Copyright (c) 2001-2002 Enthought, Inc., 2003 SciPy
+    Developers), so it returns the same float.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 * (-1.0 if xm - xf < 0.0 else 1.0)
+            else:
+                golden = True
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        x = xf + (-1.0 if rat < 0.0 else 1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return xf
+
+
 def _clock_parameters(model_name: str, names, stage1: _ClockProblem, v) -> np.ndarray:
     """Stage 2 of the clock start: the parameters from stage 1's clocks, without pricing.
 
@@ -573,9 +648,8 @@ def _clock_parameters(model_name: str, names, stage1: _ClockProblem, v) -> np.nd
         centre = grid[best]
         cell = (grid[max(best - 1, 0)] - centre,
                 grid[min(best + 1, grid.size - 1)] - centre)
-        hurst = centre + optimize.minimize_scalar(
-            lambda d: profile(np.array([centre + d]))[1][0], bounds=cell,
-            method="bounded", options={"xatol": 1e-13}).x
+        hurst = centre + _brent_bounded(
+            lambda d: profile(np.array([centre + d]))[1][0], *cell, xatol=1e-13)
     values = {"sigma": math.exp(0.5 * profile(np.array([hurst]))[0][0]),
               "alpha": stage1.alpha(v), "hurst": hurst}
     return np.array([values[n] for n in names])
@@ -612,13 +686,156 @@ def _random_start(rng: np.random.Generator, dim: int) -> np.ndarray:
     return logit(0.02 + 0.96 * u)  # keep logits finite
 
 
+@dataclass(frozen=True)
+class _TrfResult:
+    """One least-squares solve by :func:`_trf`; ``cost`` is half the sum of squares."""
+
+    x: np.ndarray
+    cost: float
+    fun: np.ndarray
+    jac: np.ndarray
+    nfev: int
+    status: int  # 0 budget spent, 1 gtol, 2 ftol, 3 xtol, 4 ftol and xtol
+
+
+_TOL = 1e-8  # ftol, xtol and gtol
+
+
+def _trf(target, x0, max_nfev) -> _TrfResult:
+    """Least squares of ``target``'s residuals from ``x0`` by trust-region steps.
+
+    This is scipy's ``least_squares(target, x0, jac=target.jac,
+    method="trf", max_nfev=max_nfev)`` with no bounds: the exact SVD
+    subproblem, unit ``x_scale`` and ftol = xtol = gtol = 1e-8.  It is
+    ported operation for operation from scipy 1.17's ``trf_no_bounds``
+    and, in ``_lsq/common.py``, ``solve_lsq_trust_region``,
+    ``update_tr_radius`` and ``check_termination`` (BSD-3-Clause,
+    Copyright (c) 2001-2002 Enthought, Inc., 2003 SciPy Developers), so it
+    takes the same steps to the same bits.  The subproblem is Moré's
+    ("The Levenberg-Marquardt algorithm: implementation and theory",
+    1977).  As scipy does, it calls ``target.jac`` right after the
+    residuals at the same point, and does not call ``target`` again at the
+    point it evaluated last.  ``nfev`` counts residual evaluations.
+    """
+    norm = np.linalg.norm
+    x = np.array(x0, dtype=float)
+    f = target(x)
+    jac = target.jac(x)
+    if not np.all(np.isfinite(f)):
+        raise ValueError("Residuals are not finite in the initial point.")
+    x_last, f_last = x, f  # the point target was called at last
+    m, n = jac.shape
+    cost = 0.5 * np.dot(f, f)
+    g = jac.T.dot(f)
+    delta = norm(x) or 1.0
+    nfev = 1
+    lm = 0.0  # the Levenberg-Marquardt parameter
+    status = None
+    while True:
+        if norm(g, ord=np.inf) < _TOL:
+            status = 1
+        if status is not None or nfev >= max_nfev:
+            break
+        u, s, vt = svd(jac, full_matrices=False)
+        v = vt.T
+        uf = u.T.dot(f)
+        reduction = -1
+        while reduction <= 0 and nfev < max_nfev:
+            step, lm = _trust_region_step(m, n, uf, s, v, delta, lm)
+            js = jac.dot(step)
+            predicted = -(0.5 * np.dot(js, js) + np.dot(step, g))
+            x_new = x + step
+            if not np.array_equal(x_new, x_last):
+                x_last, f_last = x_new, target(x_new)
+            f_new = f_last
+            nfev += 1
+            step_norm = norm(step)
+            if not np.all(np.isfinite(f_new)):
+                delta = 0.25 * step_norm
+                continue
+            cost_new = 0.5 * np.dot(f_new, f_new)
+            reduction = cost - cost_new
+            # update_tr_radius
+            if predicted > 0:
+                ratio = reduction / predicted
+            elif predicted == reduction == 0:
+                ratio = 1
+            else:
+                ratio = 0
+            delta_new = delta
+            if ratio < 0.25:
+                delta_new = 0.25 * step_norm
+            elif ratio > 0.75 and step_norm > 0.95 * delta:
+                delta_new *= 2.0
+            # check_termination
+            ftol_met = reduction < _TOL * cost and ratio > 0.25
+            xtol_met = step_norm < _TOL * (_TOL + norm(x))
+            if ftol_met or xtol_met:
+                status = 4 if ftol_met and xtol_met else 2 if ftol_met else 3
+                break
+            lm *= delta / delta_new
+            delta = delta_new
+        if reduction > 0:
+            x, f, cost = x_new, f_new, cost_new
+            jac = target.jac(x)
+            g = jac.T.dot(f)
+    return _TrfResult(x=x, cost=cost, fun=f, jac=jac, nfev=nfev,
+                      status=0 if status is None else status)
+
+
+def _trust_region_step(m, n, uf, s, v, delta, lm):
+    """The step of norm at most ``delta`` and its Levenberg-Marquardt parameter.
+
+    scipy's ``solve_lsq_trust_region`` (see :func:`_trf`) for an m x n
+    Jacobian J = U diag(s) V^T, ``uf`` = U^T f, from the parameter ``lm``
+    of the previous step: the Gauss-Newton step when J has full rank and
+    that step fits, else Moré's safeguarded Newton iteration on
+    ||p(lm)|| = delta, relative tolerance 0.01 and at most 10 iterations.
+    """
+    norm = np.linalg.norm
+
+    def phi_and_derivative(lm):
+        denom = s ** 2 + lm
+        p_norm = norm(suf / denom)
+        return p_norm - delta, -np.sum(suf ** 2 / denom ** 3) / p_norm
+
+    suf = s * uf
+    full_rank = m >= n and s[-1] > np.finfo(float).eps * m * s[0]
+    if full_rank:
+        p = -v.dot(uf / s)
+        if norm(p) <= delta:
+            return p, 0.0
+    upper = norm(suf) / delta
+    if full_rank:
+        phi, phi_prime = phi_and_derivative(0.0)
+        lower = -phi / phi_prime
+    else:
+        lower = 0.0
+    if not full_rank and lm == 0:
+        lm = max(0.001 * upper, (lower * upper) ** 0.5)
+    for _ in range(10):
+        if lm < lower or lm > upper:
+            lm = max(0.001 * upper, (lower * upper) ** 0.5)
+        phi, phi_prime = phi_and_derivative(lm)
+        if phi < 0:
+            upper = lm
+        ratio = phi / phi_prime
+        lower = max(lower, lm - ratio)
+        lm -= (phi + delta) * ratio / delta
+        if np.abs(phi) < 0.01 * delta:
+            break
+    p = -v.dot(suf / (s ** 2 + lm))
+    p *= delta / norm(p)  # onto the trust region's edge
+    return p, lm
+
+
 def _fit_vector(model_name: str, names, quotes: _Quotes,
                 cfg: OptimizerConfig) -> _Solution:
     """Trust-region least squares from the clock start and any random starts.
 
-    Every start runs ``least_squares`` (TRF) on :class:`_Problem`'s
-    residuals and Jacobian, with at most ``cfg.maxiter`` residual
-    evaluations (the alpha Jacobian column's are not counted); the clock
+    Every start runs :func:`_trf` on :class:`_Problem`'s residuals and
+    Jacobian, with at most ``cfg.maxiter`` residual evaluations (the alpha
+    Jacobian column's are not counted); the clock
     start first solves :class:`_ClockProblem` and :func:`_clock_parameters`,
     and each further start is drawn by :func:`_random_start` from one
     ``default_rng(cfg.seed)`` when its turn comes.  A start that leaves the
@@ -635,12 +852,8 @@ def _fit_vector(model_name: str, names, quotes: _Quotes,
     problem = _Problem(model_name, names, quotes)
     stage1 = _ClockProblem(model_name, quotes)
 
-    def solve(target, u0, max_nfev):
-        return optimize.least_squares(target, u0, jac=target.jac, method="trf",
-                                      max_nfev=max_nfev)
-
     def clock_start():
-        clocks = solve(stage1, stage1.start(), cfg.maxiter)
+        clocks = _trf(stage1, stage1.start(), cfg.maxiter)
         params = _clock_parameters(model_name, names, stage1, clocks.x)
         return clocks.nfev, problem.coordinates(params)
 
@@ -650,7 +863,7 @@ def _fit_vector(model_name: str, names, quotes: _Quotes,
     for k in range(cfg.n_starts):
         try:
             nfev, u0 = clock_start() if k == 0 else (0, _random_start(rng, len(names)))
-            res = solve(problem, u0, cfg.maxiter)
+            res = _trf(problem, u0, cfg.maxiter)
         except (DomainError, FloatingPointError) as exc:
             where = ("the clock start" if k == 0 else
                      f"random start {dict(zip(names, problem.params(u0)))}")
@@ -664,7 +877,7 @@ def _fit_vector(model_name: str, names, quotes: _Quotes,
             f"no optimizer start stayed in the pricing domain for {model_name}")
     if best.status == 0:  # stopped on its budget
         try:
-            more = solve(problem, best.x, cfg.polish_maxiter)
+            more = _trf(problem, best.x, cfg.polish_maxiter)
         except (DomainError, FloatingPointError) as exc:
             log.warning("continuation of %s left the domain: %s", model_name, exc)
         else:

@@ -15,9 +15,8 @@ import sys
 
 import numpy as np
 
-# calibrate and verify load scipy.optimize (verify through scipy.integrate),
-# which price, density, curve and simulate never use: the commands that need
-# them import them
+# calibrate and verify load scipy.linalg, which price, density, curve and
+# simulate never use: the commands that need them import them
 from . import pricing, process
 from .errors import (CalibrationError, ChainFormatError, DomainError,
                      NumericalError)

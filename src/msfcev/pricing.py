@@ -225,8 +225,9 @@ def _subfractional_weight(driver: Driver, hurst: float) -> float:
 def driver_variance(driver: Driver, params: MixedDriverParams, t):
     """Marginal variance of the driver at time t (the BS total-variance input).
 
-    Broadcasts over an array of times.
+    Broadcasts over an array or a list of times.
     """
+    t = np.asarray(t)[()]  # a scalar stays a scalar, priced as before
     if not (np.greater_equal(t, 0.0) & np.less(t, math.inf)).all():
         raise DomainError(f"time must be finite and >= 0, got {t!r}")
     return _driver_variance(driver, params, t)

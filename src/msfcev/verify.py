@@ -28,7 +28,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.linalg.lapack import dgtsv
 
 from .errors import DomainError, NumericalError
@@ -327,6 +326,8 @@ def effective_variance_quadrature(model: ModelSpec, env: MarketEnv,
         Phi(T) = sigma^2 (2-alpha)^2 * integral_0^T [beta^2/2
                  + gamma^2 * lambda(T-u)] * exp((2-alpha) r u) du
     """
+    from scipy import integrate  # only here: it loads all of scipy's optimizers
+
     if model.family != Family.CEV:
         raise DomainError("operation defined for the CEV family only")
     _check_inputs(maturity)

@@ -308,7 +308,7 @@ class TestFit:
     @pytest.mark.parametrize("field", ["maxiter", "polish_maxiter"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_budget_below_one_rejected(self, field, value):
-        # least_squares would refuse it only once a fit runs, with a ValueError
+        # refused where it enters, before any fit runs
         with pytest.raises(DomainError, match=f"{field} must be at least 1"):
             cal.OptimizerConfig(**{field: value})
         assert getattr(cal.OptimizerConfig(**{field: 1}), field) == 1
@@ -571,6 +571,75 @@ class TestJacobian:
                                              quick_optimizer):
         report = cal.fit(small_chain, "msfcev", "joint", quick_optimizer)
         assert report.evaluations > report.iterations
+
+
+def _solver_target(name, stage, env):
+    """A fresh stage-1 or joint problem of a noisy chain, and a start for it."""
+    quotes = cal._quote_arrays(_noisy_msfcev_chain(env).quotes)
+    if stage == "clock":
+        target = cal._ClockProblem(name, quotes)
+        return target, target.start()
+    names = cal.free_parameters(name)
+    values = {"sigma": 0.2 if "cev" in name else 0.4, "alpha": 1.5, "hurst": 0.6}
+    target = cal._Problem(name, names, quotes)
+    return target, target.coordinates([values[n] for n in names])
+
+
+class TestSolverPort:
+    """_trf and _brent_bounded take scipy's steps to the same bits."""
+
+    @pytest.mark.parametrize("max_nfev", [400, 3])
+    @pytest.mark.parametrize("name", ["msfcev", "msfbs"])
+    @pytest.mark.parametrize("stage", ["clock", "joint"])
+    def test_trf_is_scipy_least_squares(self, env100, stage, name, max_nfev):
+        target, u0 = _solver_target(name, stage, env100)
+        ours = cal._trf(target, u0, max_nfev)
+        theirs_target, u0 = _solver_target(name, stage, env100)
+        theirs = optimize.least_squares(theirs_target, u0, jac=theirs_target.jac,
+                                        method="trf", max_nfev=max_nfev)
+        for field in ("x", "cost", "fun", "jac", "nfev", "status"):
+            assert np.array_equal(getattr(ours, field), getattr(theirs, field)), field
+        assert target.evaluations == theirs_target.evaluations
+        assert (ours.status == 0) == (max_nfev == 3)
+
+    def test_trf_refuses_non_finite_start(self):
+        class Target:
+            def __call__(self, x):
+                return np.array([math.nan, x[0]])
+
+            def jac(self, x):
+                return np.ones((2, 1))
+
+        with pytest.raises(ValueError, match="not finite in the initial point"):
+            cal._trf(Target(), np.array([1.0]), 10)
+
+    def test_brent_is_scipy_bounded_on_the_hurst_profile(self, monkeypatch):
+        searches, brent = [], cal._brent_bounded
+
+        def recorded(func, lo, hi, xatol):
+            searches.append((func, lo, hi, xatol))
+            return brent(func, lo, hi, xatol)
+
+        monkeypatch.setattr(cal, "_brent_bounded", recorded)
+        # the bimodal sub-fractional profile of TestClockStart
+        stage1, v, _ = _clock_case("msfbs", {"sigma": 0.2, "hurst": 0.9},
+                                   (0.25, 1.0, 2.0))
+        cal._clock_parameters("msfbs", ("sigma", "hurst"), stage1, v)
+        (func, lo, hi, xatol), = searches
+        want = optimize.minimize_scalar(func, bounds=(lo, hi), method="bounded",
+                                        options={"xatol": xatol}).x
+        assert brent(func, lo, hi, xatol) == want
+
+    # the last two end at an edge: the lower one, then the upper one
+    @pytest.mark.parametrize("lo,hi", [(-2.0, 2.0), (-2.0, 0.5), (0.1, 1.9),
+                                       (-1.3, -1.0), (-0.5, 0.5), (0.2, 0.9)])
+    def test_brent_is_scipy_bounded_on_a_bimodal_function(self, lo, hi):
+        def func(x):
+            return (x * x - 1.0) ** 2 + 0.3 * x
+
+        want = optimize.minimize_scalar(func, bounds=(lo, hi), method="bounded",
+                                        options={"xatol": 1e-13}).x
+        assert cal._brent_bounded(func, lo, hi, 1e-13) == want
 
 
 class TestUncertainty:

@@ -265,24 +265,34 @@ class TestVerifyCommand:
 
 class TestColdStart:
     @staticmethod
-    def loaded_by_cli_import(*modules, argv=None):
+    def loaded_by_cli_import(*modules, argv=None, imports=()):
         """The ``modules`` that a fresh interpreter has after ``import msfcev.cli``
-        and, if ``argv`` is given, a successful ``msfcev.cli.main(argv)``."""
+        and the ``imports``, and, if ``argv`` is given, a successful
+        ``msfcev.cli.main(argv)``; printed on the last line, after any output
+        of the command."""
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
         run_main = f"assert msfcev.cli.main({argv!r}) == 0; " if argv else ""
-        code = (f"import sys, msfcev.cli; {run_main}"
+        code = (f"import sys, msfcev.cli{''.join(', ' + m for m in imports)}; "
+                f"{run_main}"
                 f"print(*[m for m in {modules!r} if m in sys.modules])")
         return subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
                               capture_output=True, text=True,
-                              check=True).stdout.split()
+                              check=True).stdout.splitlines()[-1].split()
 
     def test_cli_import_leaves_scipy_stats_out(self):
         assert self.loaded_by_cli_import("scipy.stats") == []
 
     def test_cli_import_leaves_calibrate_out(self):
-        # only the commands that fit or run the oracles need scipy.optimize
+        # the commands that fit import calibrate when they run
         assert self.loaded_by_cli_import("msfcev.calibrate", "scipy.optimize") == []
+
+    def test_fit_and_oracle_modules_leave_scipy_optimize_out(self):
+        # fits run their own trust-region and Brent searches, and the oracles
+        # import scipy.integrate, which loads scipy.optimize, only to use it
+        assert self.loaded_by_cli_import(
+            "scipy.optimize", "scipy.integrate",
+            imports=("msfcev.calibrate", "msfcev.verify")) == []
 
     def test_density_command_leaves_oracles_out(self):
         # writing a density CSV needs neither the oracles nor scipy.integrate
@@ -297,6 +307,19 @@ class TestColdStart:
         argv = ["calibrate", "--input", SAMPLE_CHAIN, "--model", "msfcev",
                 "--seed", "42", "--out", os.devnull]
         assert self.loaded_by_cli_import("scipy.stats", argv=argv) == []
+
+    def test_calibrate_command_leaves_scipy_optimize_out(self):
+        argv = ["calibrate", "--input", SAMPLE_CHAIN, "--model", "msfcev",
+                "--seed", "42", "--out", os.devnull]
+        assert self.loaded_by_cli_import("scipy.optimize", argv=argv) == []
+
+    def test_bs_family_verify_leaves_scipy_integrate_out(self):
+        # Phi's quadrature, the one user of scipy.integrate, is CEV-only
+        argv = ["verify", "--model", "msfbs", "--sigma", "0.2", "--hurst", "0.75",
+                "--rate", "0.05", "--spot", "100", "--strike", "105",
+                "--maturity", "0.5", "--seed", "3"]
+        assert self.loaded_by_cli_import("scipy.integrate", "scipy.optimize",
+                                         argv=argv) == []
 
     def test_compare_command_leaves_scipy_stats_out(self):
         argv = ["compare", "--input", SAMPLE_CHAIN,

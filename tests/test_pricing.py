@@ -776,6 +776,15 @@ class TestDriverVariance:
         with pytest.raises(DomainError, match="finite and >= 0"):
             driver_variance(Driver.MIXED_SUB_FRACTIONAL, p, t)
 
+    def test_list_of_times_broadcasts(self):
+        p = MixedDriverParams(hurst=0.7, beta=1.0, gamma=1.0)
+        ts = [0.5, 1.0, 2.0]
+        got = driver_variance(Driver.MIXED_SUB_FRACTIONAL, p, ts)
+        assert got.tolist() == driver_variance(Driver.MIXED_SUB_FRACTIONAL, p,
+                                               np.array(ts)).tolist()
+        with pytest.raises(DomainError, match="finite and >= 0"):
+            driver_variance(Driver.MIXED_SUB_FRACTIONAL, p, [1.0, math.nan])
+
     def test_values(self):
         p = MixedDriverParams(hurst=0.7, beta=1.0, gamma=1.0)
         t = 2.0
