@@ -27,14 +27,14 @@ term structure of clocks:
 1. one least-squares solve over a common alpha and one log clock per
    (maturity, rate) group, every quote priced at its group's clock;
 2. sigma and H read off those clocks with no pricing: a global search of
-   H over its box, sigma in closed form for each H;
+   H over its box, sigma in closed form for each H, each clock weighted
+   by its quotes' price sensitivity to it;
 3. the joint least-squares solve from that point.
 
 That start lands in the global minimum where a single start from an
 arbitrary point can end in a local one (for msfCEV near H 0.85).  Any
-further starts are random points drawn from ``default_rng(seed)``, the
-first of them scipy's first scrambled-Sobol point of that seed.  Seeds
-are unsigned 64-bit integers.
+further starts are uniform random points drawn from
+``default_rng(seed)``.  Seeds are unsigned 64-bit integers.
 """
 
 from __future__ import annotations
@@ -350,7 +350,8 @@ def mse_objective(model_name: str, params, chain: OptionChain) -> float:
 _FD_STEP = math.sqrt(np.finfo(float).eps)
 # H where a fit that cannot identify it (one maturity) starts
 _MID_HURST = 0.5 * sum(PARAM_BOUNDS["hurst"])
-_HURST_GRID = 65  # H values of the clock start's global search
+_HURST_GRID = 65  # H values of each grid of the clock start's search
+_HURST_LEVELS = 4  # grids of that search, each over the last one's best two cells
 _HURST_STEP = 1e-6  # central-difference step of the clock in H
 # the clock start's parameters stay this fraction of the box inside its
 # edges, where the logistic coordinates are infinite
@@ -543,113 +544,49 @@ class _ClockProblem(_ScaledResiduals):
             q.spot ** (2.0 - a) * (2.0 - a) ** 2 * var / 2.0)))
 
 
-def _brent_bounded(func, lo, hi, xatol):
-    """The minimiser of ``func`` on [lo, hi] by Brent's bounded search.
-
-    Golden-section and parabolic steps, at most 500 evaluations of
-    ``func``, as scipy's ``minimize_scalar(func, bounds=(lo, hi),
-    method="bounded", options={"xatol": xatol}).x``: ported operation for
-    operation from scipy 1.17's ``_minimize_scalar_bounded`` (fminbound;
-    BSD-3-Clause, Copyright (c) 2001-2002 Enthought, Inc., 2003 SciPy
-    Developers), so it returns the same float.
-    """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = lo, hi
-    fulc = a + golden_mean * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabola through the three best points
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = p / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 * (-1.0 if xm - xf < 0.0 else 1.0)
-            else:
-                golden = True
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = golden_mean * e
-        x = xf + (-1.0 if rat < 0.0 else 1.0) * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= 500:
-            break
-    return xf
-
-
-def _clock_parameters(model_name: str, names, stage1: _ClockProblem, v) -> np.ndarray:
+def _clock_parameters(model_name: str, names, stage1: _ClockProblem, v,
+                      weights=None) -> np.ndarray:
     """Stage 2 of the clock start: the parameters from stage 1's clocks, without pricing.
 
     The clock of group i is X_i = sigma^2 g_i(H), so for each H, log
     sigma^2 is the mean of log X_i - log g_i(H), and H minimises the sum of
-    squares left.  That profile is bimodal for the sub-fractional driver,
-    whose weight w_H = 2 - 2^(2H-1) bends g, so a local search from the
-    whole box can end in the wrong mode: H is taken from a grid over its box
-    in one broadcast evaluation of g, then refined by a bounded Brent search
-    between the best grid value's neighbours.  Brent searches the offset
-    from the best grid value, because its tolerance grows with the size of
-    its variable.  With one maturity, H is not identified and stays at the
+    squares left; both take the groups' ``weights`` (equal if None).
+    That profile is bimodal for the sub-fractional driver, whose weight
+    w_H = 2 - 2^(2H-1) bends g, so a local search from the whole box can
+    end in the wrong mode: H is taken from a grid over its box, then from
+    a grid over the two cells around the best value, _HURST_LEVELS grids
+    in all, each one broadcast evaluation of g; the last step is the
+    vertex of the parabola through the last grid's best value and its
+    neighbours.  With one maturity, H is not identified and stays at the
     middle of its box.  Returns the values in the order of ``names``.
     """
     unit = stage1.unit_model(v)
     log_clocks = v[int(stage1.cev):]
+    # unit weights keep the plain mean, bit for bit
+    weights = np.ones(log_clocks.size) if weights is None else weights
 
     def profile(hurst):
-        """log sigma^2 and the squares left, at each H of a 1-d array."""
+        """log sigma^2 and the weighted squares left, at each H of a 1-d array."""
         misfit = log_clocks - np.log(np.atleast_2d(
             _clock(unit, stage1.rates, stage1.maturities, hurst[:, None])))
-        log_var = misfit.mean(axis=1)
-        return log_var, np.sum((misfit - log_var[:, None]) ** 2, axis=1)
+        log_var = np.sum(misfit * weights, axis=1) / np.sum(weights)
+        return log_var, np.sum((misfit - log_var[:, None]) ** 2 * weights, axis=1)
 
     hurst = _MID_HURST
     if "hurst" in names and stage1.quotes.starts.size > 1:
-        grid = np.linspace(*PARAM_BOUNDS["hurst"], _HURST_GRID)
-        best = int(np.argmin(profile(grid)[1]))
-        centre = grid[best]
-        cell = (grid[max(best - 1, 0)] - centre,
-                grid[min(best + 1, grid.size - 1)] - centre)
-        hurst = centre + _brent_bounded(
-            lambda d: profile(np.array([centre + d]))[1][0], *cell, xatol=1e-13)
+        lo, hi = PARAM_BOUNDS["hurst"]
+        for _ in range(_HURST_LEVELS):
+            grid = np.linspace(lo, hi, _HURST_GRID)
+            squares = profile(grid)[1]
+            best = int(np.argmin(squares))
+            lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
+        i = min(max(best, 1), grid.size - 2)  # the middle of three grid values
+        f0, f1, f2 = squares[i - 1:i + 2]
+        bend = f0 - 2.0 * f1 + f2
+        hurst = grid[best]
+        if bend > 0.0:
+            step = 0.5 * (grid[i] - grid[i - 1]) * (f0 - f2) / bend
+            hurst = min(max(grid[i] + step, grid[i - 1]), grid[i + 1])
     values = {"sigma": math.exp(0.5 * profile(np.array([hurst]))[0][0]),
               "alpha": stage1.alpha(v), "hurst": hurst}
     return np.array([values[n] for n in names])
@@ -669,21 +606,9 @@ class _Solution:
     jac_cond: float | None
 
 
-_START_BITS = 30  # random bits per coordinate of a further start
-
-
 def _random_start(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """A further start in the logistic coordinates, drawn bit by bit from ``rng``.
-
-    ``dim`` x 30 random bits weighted by 2^j and scaled by 2^-30 give u in
-    [0, 1)^dim.  The first draw of ``default_rng(seed)`` is the digital
-    shift, and so the first point, of ``scipy.stats.qmc.Sobol(dim,
-    scramble=True, seed=seed)``.
-    """
-    bits = rng.integers(0, 2, size=(dim, _START_BITS), dtype=np.uint32)
-    weights = np.uint32(1) << np.arange(_START_BITS, dtype=np.uint32)
-    u = (bits @ weights) * 2.0 ** -_START_BITS
-    return logit(0.02 + 0.96 * u)  # keep logits finite
+    """A further start in the logistic coordinates, uniform on the inner 96% of the box."""
+    return logit(rng.uniform(0.02, 0.98, dim))  # keep logits finite
 
 
 @dataclass(frozen=True)
@@ -835,11 +760,14 @@ def _fit_vector(model_name: str, names, quotes: _Quotes,
 
     Every start runs :func:`_trf` on :class:`_Problem`'s residuals and
     Jacobian, with at most ``cfg.maxiter`` residual evaluations (the alpha
-    Jacobian column's are not counted); the clock
-    start first solves :class:`_ClockProblem` and :func:`_clock_parameters`,
-    and each further start is drawn by :func:`_random_start` from one
-    ``default_rng(cfg.seed)`` when its turn comes.  A start that leaves the
-    pricing domain is skipped with one warning.  If the lowest-cost start
+    Jacobian column's are not counted); the clock start first solves
+    :class:`_ClockProblem` and :func:`_clock_parameters`, and each further
+    start is drawn by :func:`_random_start` from one
+    ``default_rng(cfg.seed)`` when its turn comes.  When H is fitted, stage
+    2 weights each group's clock by the sum of squares of its column of
+    stage 1's final Jacobian, its weight in the price MSE; the classical
+    drivers' sigma stays the plain mean.  A start that leaves the pricing
+    domain is skipped with one warning.  If the lowest-cost start
     stopped on its budget, it continues from its end point for at most
     ``cfg.polish_maxiter`` evaluations, and the continuation is kept when
     it is no worse.
@@ -854,7 +782,11 @@ def _fit_vector(model_name: str, names, quotes: _Quotes,
 
     def clock_start():
         clocks = _trf(stage1, stage1.start(), cfg.maxiter)
-        params = _clock_parameters(model_name, names, stage1, clocks.x)
+        # a group's weight in the price MSE: the squares of its clock's column
+        weights = np.sum(clocks.jac[:, int(stage1.cev):] ** 2, axis=0)
+        if "hurst" not in names or not 0.0 < weights.sum() < math.inf:
+            weights = None
+        params = _clock_parameters(model_name, names, stage1, clocks.x, weights)
         return clocks.nfev, problem.coordinates(params)
 
     rng = np.random.default_rng(cfg.seed) if cfg.n_starts > 1 else None

@@ -55,7 +55,9 @@ def _fit_args(parser: argparse.ArgumentParser, model_flag: str,
     parser.add_argument("--input", required=True)
     parser.add_argument(model_flag, required=True, **model_kwargs)
     parser.add_argument("--mode", choices=["joint", "per_maturity"], default="joint")
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seed", type=int, required=True,
+                        help="seeds only the random starts after the first; a "
+                             "one-start fit does not use it")
     parser.add_argument("--starts", type=int, default=1, help=_STARTS_HELP)
     parser.add_argument("--maxiter", type=int, default=400,
                         help="residual evaluations per start")

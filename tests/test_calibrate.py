@@ -252,7 +252,7 @@ class TestFit:
         assert fitted["hurst"] == pytest.approx(0.75, abs=1e-6)
         assert report.converged
 
-    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("seed", [1, 2, 12, 16])
     @pytest.mark.parametrize("name,values,rel", [
         ("msfcev", {"sigma": 2.5, "alpha": 0.8, "hurst": 0.75}, 1e-8),
         ("msfcev", {"sigma": 1.0, "alpha": 1.5, "hurst": 0.9}, 1e-8),
@@ -277,21 +277,16 @@ class TestFit:
     @pytest.mark.parametrize("seed", [0, 7, 42, 2 ** 64 - 1])
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 13])
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_random_starts_open_with_scipy_sobol_point(self, dim, n, seed):
-        from scipy.stats import qmc  # the reference, never loaded by a fit
-
-        def starts():
+    def test_random_starts_are_seeded_points_of_the_box(self, dim, n, seed):
+        def starts(seed):
             rng = np.random.default_rng(seed)
             return np.array([cal._random_start(rng, dim) for _ in range(n)])
 
-        first = qmc.Sobol(d=dim, scramble=True, seed=seed).random(1)[0]
-        points = starts()
+        points = starts(seed)
         assert points.shape == (n, dim)
-        assert np.array_equal(points[0], logit(0.02 + 0.96 * first))
-        # u = 0 is one of the 2^30 values of a coordinate, so the lower
-        # bound can be reached; u < 1 keeps the upper one strict
         assert np.all((points >= logit(0.02)) & (points < logit(0.98)))
-        assert np.array_equal(points, starts())
+        assert np.array_equal(points, starts(seed))
+        assert not np.array_equal(points[0], starts(seed ^ 1)[0])
 
     @pytest.mark.parametrize("seed", [-1, 2 ** 64])
     def test_seed_outside_uint64_rejected(self, seed):
@@ -354,6 +349,18 @@ class TestFit:
             with pytest.raises(CalibrationError):
                 cal.fit(small_chain, "msfcev", "joint", cal.OptimizerConfig())
         assert len(caplog.records) == 2
+
+    @pytest.mark.parametrize("name", ["msfcev", "mfcev"])
+    def test_clock_start_on_quotes_insensitive_to_their_clocks(self, name):
+        # deep in-the-money quotes at their intrinsic value: stage 1 ends
+        # where every clock column of its Jacobian is 0, so the groups have
+        # no weights and stage 2 falls back to equal ones
+        quotes = tuple(cal.MarketQuote(strike=k, maturity=t, spot=100.0, rate=0.05,
+                                       mid_price=100.0 - k * math.exp(-0.05 * t))
+                       for t in (0.5, 1.0) for k in (20.0, 30.0))
+        report = cal.fit(cal.OptionChain("2024-01-02", quotes), name, "joint")
+        assert report.converged
+        assert report.total_mse <= 1e-20
 
     def test_invalid_mode(self, small_chain):
         with pytest.raises(DomainError):
@@ -586,7 +593,7 @@ def _solver_target(name, stage, env):
 
 
 class TestSolverPort:
-    """_trf and _brent_bounded take scipy's steps to the same bits."""
+    """_trf takes scipy's least_squares steps to the same bits."""
 
     @pytest.mark.parametrize("max_nfev", [400, 3])
     @pytest.mark.parametrize("name", ["msfcev", "msfbs"])
@@ -612,34 +619,6 @@ class TestSolverPort:
 
         with pytest.raises(ValueError, match="not finite in the initial point"):
             cal._trf(Target(), np.array([1.0]), 10)
-
-    def test_brent_is_scipy_bounded_on_the_hurst_profile(self, monkeypatch):
-        searches, brent = [], cal._brent_bounded
-
-        def recorded(func, lo, hi, xatol):
-            searches.append((func, lo, hi, xatol))
-            return brent(func, lo, hi, xatol)
-
-        monkeypatch.setattr(cal, "_brent_bounded", recorded)
-        # the bimodal sub-fractional profile of TestClockStart
-        stage1, v, _ = _clock_case("msfbs", {"sigma": 0.2, "hurst": 0.9},
-                                   (0.25, 1.0, 2.0))
-        cal._clock_parameters("msfbs", ("sigma", "hurst"), stage1, v)
-        (func, lo, hi, xatol), = searches
-        want = optimize.minimize_scalar(func, bounds=(lo, hi), method="bounded",
-                                        options={"xatol": xatol}).x
-        assert brent(func, lo, hi, xatol) == want
-
-    # the last two end at an edge: the lower one, then the upper one
-    @pytest.mark.parametrize("lo,hi", [(-2.0, 2.0), (-2.0, 0.5), (0.1, 1.9),
-                                       (-1.3, -1.0), (-0.5, 0.5), (0.2, 0.9)])
-    def test_brent_is_scipy_bounded_on_a_bimodal_function(self, lo, hi):
-        def func(x):
-            return (x * x - 1.0) ** 2 + 0.3 * x
-
-        want = optimize.minimize_scalar(func, bounds=(lo, hi), method="bounded",
-                                        options={"xatol": 1e-13}).x
-        assert cal._brent_bounded(func, lo, hi, 1e-13) == want
 
 
 class TestUncertainty:

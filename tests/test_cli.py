@@ -288,7 +288,7 @@ class TestColdStart:
         assert self.loaded_by_cli_import("msfcev.calibrate", "scipy.optimize") == []
 
     def test_fit_and_oracle_modules_leave_scipy_optimize_out(self):
-        # fits run their own trust-region and Brent searches, and the oracles
+        # fits run their own trust-region solver and H search, and the oracles
         # import scipy.integrate, which loads scipy.optimize, only to use it
         assert self.loaded_by_cli_import(
             "scipy.optimize", "scipy.integrate",
