@@ -13,9 +13,10 @@ parameters per model are
     mfcev, msfcev sigma, alpha, hurst
 
 The optimizer is trust-region least squares on the price residuals, in a
-logistic reparameterization of the bounded box: :func:`_trf`, scipy's TRF
-ported into this module, so a fit imports none of scipy's optimizers;
-deterministic for a given seed.
+logistic reparameterization of the bounded box: :func:`_trf`, the
+trust-region method of scipy's ``least_squares`` written out in this
+module on numpy's SVD, so a fit imports neither scipy's optimizers nor
+its linear algebra; deterministic for a given seed.
 
 sigma and H move a price only through its clock X(T) = sigma^2 g(H)
 (Phi for the CEV family, the total variance for the BS family).  So the
@@ -48,7 +49,6 @@ import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.linalg import svd
 from scipy.special import expit, logit
 
 from .errors import CalibrationError, ChainFormatError, DomainError
@@ -210,7 +210,7 @@ def load_chain(source, moneyness_filter: bool = False) -> OptionChain:
     ``moneyness_filter`` set, quotes deeper than 5% in the money
     (strike < 0.95 * spot) are dropped.
     """
-    if isinstance(source, (str, bytes)):
+    if isinstance(source, (str, bytes, os.PathLike)):
         with open(source, "r", encoding="utf-8", newline="") as fh:
             return load_chain(fh, moneyness_filter)
     reader = csv.reader(source)
@@ -346,7 +346,8 @@ def mse_objective(model_name: str, params, chain: OptionChain) -> float:
 # fitting
 # ---------------------------------------------------------------------------
 
-# scipy's relative step for a 2-point forward difference
+# relative step of the alpha column's forward difference, as in scipy's
+# 2-point rule
 _FD_STEP = math.sqrt(np.finfo(float).eps)
 # H where a fit that cannot identify it (one maturity) starts
 _MID_HURST = 0.5 * sum(PARAM_BOUNDS["hurst"])
@@ -373,42 +374,30 @@ class _ScaledResiduals:
     """Price residuals (prices - mids) / sqrt(n_quotes), whose sum of squares is the MSE.
 
     A subclass maps its vector to a model and the clock of every quote in
-    ``_at``; ``_priced`` prices the quotes there, and ``evaluations``
-    counts those calls.
+    ``_at``; calling the instance prices the quotes there, and
+    ``evaluations`` counts those calls.
     """
 
     def __init__(self, quotes: _Quotes):
         self.quotes = quotes
         self.scale = 1.0 / math.sqrt(quotes.mids.size)
         self.evaluations = 0
-        self._last = (None, None)  # u and residuals of the latest __call__
 
-    def __call__(self, u):
-        res = self._priced(u)
-        self._last = (np.array(u), res)
-        return res
-
-    def _forward_column(self, u, j):
-        """d residuals / du[j] by scipy's 2-point forward difference.
-
-        The step is sqrt(eps) * max(1, |u[j]|) with the sign of u[j].
-        :func:`_trf` calls ``jac(u)`` right after it evaluates the residuals
-        at u, so the difference takes them from the last call instead of
-        pricing u again.
-        """
-        last_u, base = self._last
-        if last_u is None or not np.array_equal(u, last_u):
-            base = self(u)
-        shifted = np.array(u, dtype=float)
-        shifted[j] += _FD_STEP * (1.0 if u[j] >= 0.0 else -1.0) * max(1.0, abs(u[j]))
-        return (self._priced(shifted) - base) / (shifted[j] - u[j])
-
-    def _priced(self, v):
+    def __call__(self, v):
         self.evaluations += 1
         model, clocks = self._at(v)
         q = self.quotes
         return self.scale * (_prices_at_clock(model, q.spot, q.maturities, q.rates,
                                               q.strikes, clocks) - q.mids)
+
+    def _forward_column(self, u, res, j):
+        """d residuals / du[j] by a 2-point forward difference from ``res``, those at u.
+
+        The step is sqrt(eps) * max(1, |u[j]|) with the sign of u[j].
+        """
+        shifted = np.array(u, dtype=float)
+        shifted[j] += _FD_STEP * (1.0 if u[j] >= 0.0 else -1.0) * max(1.0, abs(u[j]))
+        return (self(shifted) - res) / (shifted[j] - u[j])
 
 
 class _Problem(_ScaledResiduals):
@@ -439,11 +428,12 @@ class _Problem(_ScaledResiduals):
         model = build_model(self.model_name, dict(zip(self.names, self.params(u))))
         return model, _clock(model, self.quotes.rates, self.quotes.maturities)
 
-    def jac(self, u):
-        """d residuals / du: sigma and H through the clock, alpha a forward difference.
+    def jac(self, u, res):
+        """d residuals / du at u, whose residuals are ``res``; sigma and H via the clock.
 
         dC/dX comes from :func:`_clock_slope`, dX/dsigma = 2 X / sigma and
-        dX/dH is a central difference of :func:`_clock` in H.
+        dX/dH is a central difference of :func:`_clock` in H; the alpha
+        column is a forward difference from ``res``.
         """
         q = self.quotes
         model, clocks = self._at(u)
@@ -457,7 +447,7 @@ class _Problem(_ScaledResiduals):
         jac = np.empty((q.mids.size, len(self.names)))
         for j, name in enumerate(self.names):
             if name == "alpha":
-                jac[:, j] = self._forward_column(u, j)
+                jac[:, j] = self._forward_column(u, res, j)
             else:
                 jac[:, j] = self.scale * slopes[j] * (d_clock[name] * slope)
         return jac
@@ -514,7 +504,7 @@ class _ClockProblem(_ScaledResiduals):
     def _at(self, v):
         return self.unit_model(v), np.exp(v[int(self.cev):])[self.group]
 
-    def jac(self, v):
+    def jac(self, v, res):
         q = self.quotes
         model, clocks = self._at(v)
         slope = _clock_slope(model, q.spot, q.maturities, q.rates, q.strikes, clocks)
@@ -522,7 +512,7 @@ class _ClockProblem(_ScaledResiduals):
         jac[np.arange(q.mids.size), int(self.cev) + self.group] = \
             self.scale * clocks * slope
         if self.cev:
-            jac[:, 0] = self._forward_column(v, 0)
+            jac[:, 0] = self._forward_column(v, res, 0)
         return jac
 
     def start(self) -> np.ndarray:
@@ -544,8 +534,7 @@ class _ClockProblem(_ScaledResiduals):
             q.spot ** (2.0 - a) * (2.0 - a) ** 2 * var / 2.0)))
 
 
-def _clock_parameters(model_name: str, names, stage1: _ClockProblem, v,
-                      weights=None) -> np.ndarray:
+def _clock_parameters(names, stage1: _ClockProblem, v, weights=None) -> np.ndarray:
     """Stage 2 of the clock start: the parameters from stage 1's clocks, without pricing.
 
     The clock of group i is X_i = sigma^2 g_i(H), so for each H, log
@@ -620,7 +609,7 @@ class _TrfResult:
     fun: np.ndarray
     jac: np.ndarray
     nfev: int
-    status: int  # 0 budget spent, 1 gtol, 2 ftol, 3 xtol, 4 ftol and xtol
+    converged: bool  # a tolerance was met, not the budget spent
 
 
 _TOL = 1e-8  # ftol, xtol and gtol
@@ -629,39 +618,35 @@ _TOL = 1e-8  # ftol, xtol and gtol
 def _trf(target, x0, max_nfev) -> _TrfResult:
     """Least squares of ``target``'s residuals from ``x0`` by trust-region steps.
 
-    This is scipy's ``least_squares(target, x0, jac=target.jac,
-    method="trf", max_nfev=max_nfev)`` with no bounds: the exact SVD
-    subproblem, unit ``x_scale`` and ftol = xtol = gtol = 1e-8.  It is
-    ported operation for operation from scipy 1.17's ``trf_no_bounds``
-    and, in ``_lsq/common.py``, ``solve_lsq_trust_region``,
-    ``update_tr_radius`` and ``check_termination`` (BSD-3-Clause,
-    Copyright (c) 2001-2002 Enthought, Inc., 2003 SciPy Developers), so it
-    takes the same steps to the same bits.  The subproblem is Moré's
+    The trust-region reflective method of scipy's ``least_squares`` with no
+    bounds: the exact SVD subproblem, unit ``x_scale`` and ftol = xtol =
+    gtol = 1e-8.  It follows scipy 1.17's ``trf_no_bounds`` and, in
+    ``_lsq/common.py``, ``solve_lsq_trust_region``, ``update_tr_radius``
+    and ``check_termination`` (BSD-3-Clause, Copyright (c) 2001-2002
+    Enthought, Inc., 2003 SciPy Developers).  The subproblem is Moré's
     ("The Levenberg-Marquardt algorithm: implementation and theory",
-    1977).  As scipy does, it calls ``target.jac`` right after the
-    residuals at the same point, and does not call ``target`` again at the
-    point it evaluated last.  ``nfev`` counts residual evaluations.
+    1977).  ``target.jac(x, f)`` gets the residuals ``f`` at x, so a
+    forward-difference column needs no second evaluation at x.  ``nfev``
+    counts residual evaluations.
     """
     norm = np.linalg.norm
     x = np.array(x0, dtype=float)
     f = target(x)
-    jac = target.jac(x)
     if not np.all(np.isfinite(f)):
         raise ValueError("Residuals are not finite in the initial point.")
-    x_last, f_last = x, f  # the point target was called at last
+    jac = target.jac(x, f)
     m, n = jac.shape
     cost = 0.5 * np.dot(f, f)
     g = jac.T.dot(f)
     delta = norm(x) or 1.0
     nfev = 1
     lm = 0.0  # the Levenberg-Marquardt parameter
-    status = None
+    converged = False
     while True:
-        if norm(g, ord=np.inf) < _TOL:
-            status = 1
-        if status is not None or nfev >= max_nfev:
+        converged = converged or norm(g, ord=np.inf) < _TOL
+        if converged or nfev >= max_nfev:
             break
-        u, s, vt = svd(jac, full_matrices=False)
+        u, s, vt = np.linalg.svd(jac, full_matrices=False)
         v = vt.T
         uf = u.T.dot(f)
         reduction = -1
@@ -670,9 +655,7 @@ def _trf(target, x0, max_nfev) -> _TrfResult:
             js = jac.dot(step)
             predicted = -(0.5 * np.dot(js, js) + np.dot(step, g))
             x_new = x + step
-            if not np.array_equal(x_new, x_last):
-                x_last, f_last = x_new, target(x_new)
-            f_new = f_last
+            f_new = target(x_new)
             nfev += 1
             step_norm = norm(step)
             if not np.all(np.isfinite(f_new)):
@@ -692,26 +675,24 @@ def _trf(target, x0, max_nfev) -> _TrfResult:
                 delta_new = 0.25 * step_norm
             elif ratio > 0.75 and step_norm > 0.95 * delta:
                 delta_new *= 2.0
-            # check_termination
-            ftol_met = reduction < _TOL * cost and ratio > 0.25
-            xtol_met = step_norm < _TOL * (_TOL + norm(x))
-            if ftol_met or xtol_met:
-                status = 4 if ftol_met and xtol_met else 2 if ftol_met else 3
+            # check_termination: ftol or xtol
+            if (reduction < _TOL * cost and ratio > 0.25
+                    or step_norm < _TOL * (_TOL + norm(x))):
+                converged = True
                 break
             lm *= delta / delta_new
             delta = delta_new
         if reduction > 0:
             x, f, cost = x_new, f_new, cost_new
-            jac = target.jac(x)
+            jac = target.jac(x, f)
             g = jac.T.dot(f)
-    return _TrfResult(x=x, cost=cost, fun=f, jac=jac, nfev=nfev,
-                      status=0 if status is None else status)
+    return _TrfResult(x=x, cost=cost, fun=f, jac=jac, nfev=nfev, converged=converged)
 
 
 def _trust_region_step(m, n, uf, s, v, delta, lm):
     """The step of norm at most ``delta`` and its Levenberg-Marquardt parameter.
 
-    scipy's ``solve_lsq_trust_region`` (see :func:`_trf`) for an m x n
+    After scipy's ``solve_lsq_trust_region`` (see :func:`_trf`), for an m x n
     Jacobian J = U diag(s) V^T, ``uf`` = U^T f, from the parameter ``lm``
     of the previous step: the Gauss-Newton step when J has full rank and
     that step fits, else Moré's safeguarded Newton iteration on
@@ -786,7 +767,7 @@ def _fit_vector(model_name: str, names, quotes: _Quotes,
         weights = np.sum(clocks.jac[:, int(stage1.cev):] ** 2, axis=0)
         if "hurst" not in names or not 0.0 < weights.sum() < math.inf:
             weights = None
-        params = _clock_parameters(model_name, names, stage1, clocks.x, weights)
+        params = _clock_parameters(names, stage1, clocks.x, weights)
         return clocks.nfev, problem.coordinates(params)
 
     rng = np.random.default_rng(cfg.seed) if cfg.n_starts > 1 else None
@@ -807,7 +788,7 @@ def _fit_vector(model_name: str, names, quotes: _Quotes,
     if best is None:
         raise CalibrationError(
             f"no optimizer start stayed in the pricing domain for {model_name}")
-    if best.status == 0:  # stopped on its budget
+    if not best.converged:  # stopped on its budget
         try:
             more = _trf(problem, best.x, cfg.polish_maxiter)
         except (DomainError, FloatingPointError) as exc:
@@ -821,7 +802,7 @@ def _fit_vector(model_name: str, names, quotes: _Quotes,
                      residuals=best.fun / problem.scale,
                      mse=2.0 * float(best.cost), iterations=iterations,
                      evaluations=problem.evaluations + stage1.evaluations,
-                     converged=best.status > 0, stderr=stderr, jac_cond=cond)
+                     converged=best.converged, stderr=stderr, jac_cond=cond)
 
 
 def _per_maturity_mse(quotes: _Quotes, sol: _Solution) -> dict:

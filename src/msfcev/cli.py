@@ -15,8 +15,8 @@ import sys
 
 import numpy as np
 
-# calibrate and verify load scipy.linalg, which price, density, curve and
-# simulate never use: the commands that need them import them
+# verify loads scipy.linalg, which no other command uses, and only the
+# commands that fit use calibrate: each command imports what it needs
 from . import pricing, process
 from .errors import (CalibrationError, ChainFormatError, DomainError,
                      NumericalError)

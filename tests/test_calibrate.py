@@ -32,11 +32,12 @@ class TestLoadChain:
     def test_write_then_read(self, tmp_path, small_chain):
         path = tmp_path / "chain.csv"
         cal.write_chain_csv(small_chain, str(path))
-        again = cal.load_chain(str(path))
-        assert len(again.quotes) == len(small_chain.quotes)
-        assert again.quotes[0].strike == pytest.approx(
-            sorted(q.strike for q in small_chain.quotes
-                   if q.maturity == small_chain.quotes[0].maturity)[0])
+        for source in (str(path), path):  # a str and a pathlib.Path
+            again = cal.load_chain(source)
+            assert len(again.quotes) == len(small_chain.quotes)
+            assert again.quotes[0].strike == pytest.approx(
+                sorted(q.strike for q in small_chain.quotes
+                       if q.maturity == small_chain.quotes[0].maturity)[0])
 
     def test_bad_header(self):
         with pytest.raises(ChainFormatError, match="header"):
@@ -459,7 +460,7 @@ class TestClockStart:
         stage1, v, values = _clock_case(name, dict(values, hurst=hurst),
                                         maturities, rate)
         names = cal.free_parameters(name)
-        got = cal._clock_parameters(name, names, stage1, v)
+        got = cal._clock_parameters(names, stage1, v)
         want = np.array([values[n] for n in names])
         assert np.max(np.abs(got - want)) <= 1e-10
 
@@ -468,14 +469,14 @@ class TestClockStart:
     def test_stage_two_classical_sigma(self, name, values):
         stage1, v, values = _clock_case(name, values, (0.25, 1.0, 2.0))
         names = cal.free_parameters(name)
-        got = cal._clock_parameters(name, names, stage1, v)
+        got = cal._clock_parameters(names, stage1, v)
         assert got == pytest.approx([values[n] for n in names], rel=1e-14)
 
     def test_one_maturity_holds_hurst_at_box_middle(self):
         stage1, v, _ = _clock_case("msfcev", {"sigma": 2.5, "alpha": 0.8,
                                               "hurst": 0.9}, (1.0,))
         names = cal.free_parameters("msfcev")
-        got = dict(zip(names, cal._clock_parameters("msfcev", names, stage1, v)))
+        got = dict(zip(names, cal._clock_parameters(names, stage1, v)))
         assert got["hurst"] == sum(cal.PARAM_BOUNDS["hurst"]) / 2.0
         # sigma reproduces the one clock at that H
         model = cal.build_model("msfcev", got)
@@ -496,13 +497,18 @@ class TestClockStart:
                                           quotes.rates, quotes.strikes),
                              quotes.starts)
         stage1 = cal._ClockProblem(name, quotes)
-        solved = optimize.least_squares(stage1, stage1.start(), jac=stage1.jac,
-                                        method="trf")
+        solved = optimize.least_squares(stage1, stage1.start(),
+                                        jac=_jac_of_point(stage1), method="trf")
         assert 2.0 * solved.cost <= 1e-20
         clocks = _clock(model, stage1.rates, stage1.maturities)
         assert np.exp(solved.x[int(stage1.cev):]) == pytest.approx(clocks, rel=1e-6)
         if stage1.cev:
             assert stage1.alpha(solved.x) == pytest.approx(0.8, abs=1e-6)
+
+
+def _jac_of_point(target):
+    """``target.jac`` as scipy calls a Jacobian: of the point alone."""
+    return lambda x: target.jac(x, target(x))
 
 
 def _quotes_at(rate):
@@ -538,10 +544,10 @@ class TestJacobian:
         lo, hi = cal._box(names)
         u = logit((np.array([values[n] for n in names]) - lo) / (hi - lo))
         base = problem(u)
-        jac = problem.jac(u)
+        jac = problem.jac(u, base)
         for j, param in enumerate(names):
             if param == "alpha":
-                # scipy's 2-point forward difference, bit for bit; its
+                # the 2-point forward difference from base, bit for bit; its
                 # rounding noise, a few 1e-6 of the column maximum, keeps it
                 # from meeting the analytic columns' bound
                 shifted = u.copy()
@@ -557,16 +563,13 @@ class TestJacobian:
             err = np.max(np.abs(jac[:, j] - central)) / np.max(np.abs(central))
             assert err <= 1e-6, param
 
-    def test_alpha_column_reuses_the_last_residuals(self, small_chain):
+    def test_alpha_column_prices_only_its_step(self, small_chain):
         names = cal.free_parameters("msfcev")
         problem = cal._Problem("msfcev", names,
                                cal._quote_arrays(small_chain.quotes))
         u = np.array([0.1, -0.3, 0.2])
-        problem(u)
-        problem.jac(u)
+        problem.jac(u, problem(u))
         assert problem.evaluations == 2  # the base point and the alpha step
-        problem.jac(u + 0.5)  # not the last evaluated point: priced again
-        assert problem.evaluations == 4
 
     @pytest.mark.parametrize("name", ["bs", "mfbs", "msfbs"])
     def test_bs_family_prices_no_jacobian_column(self, small_chain,
@@ -592,29 +595,32 @@ def _solver_target(name, stage, env):
     return target, target.coordinates([values[n] for n in names])
 
 
-class TestSolverPort:
-    """_trf takes scipy's least_squares steps to the same bits."""
+class TestSolver:
+    """_trf ends no higher than scipy's least_squares, in about as many evaluations."""
 
-    @pytest.mark.parametrize("max_nfev", [400, 3])
+    @pytest.mark.parametrize("max_nfev", [400, 2])
     @pytest.mark.parametrize("name", ["msfcev", "msfbs"])
     @pytest.mark.parametrize("stage", ["clock", "joint"])
-    def test_trf_is_scipy_least_squares(self, env100, stage, name, max_nfev):
+    def test_trf_reaches_scipy_least_squares_cost(self, env100, stage, name,
+                                                  max_nfev):
+        # max_nfev=2 stops on the budget after the first step
         target, u0 = _solver_target(name, stage, env100)
         ours = cal._trf(target, u0, max_nfev)
-        theirs_target, u0 = _solver_target(name, stage, env100)
-        theirs = optimize.least_squares(theirs_target, u0, jac=theirs_target.jac,
+        theirs = optimize.least_squares(target, u0, jac=_jac_of_point(target),
                                         method="trf", max_nfev=max_nfev)
-        for field in ("x", "cost", "fun", "jac", "nfev", "status"):
-            assert np.array_equal(getattr(ours, field), getattr(theirs, field)), field
-        assert target.evaluations == theirs_target.evaluations
-        assert (ours.status == 0) == (max_nfev == 3)
+        assert ours.converged == (theirs.status > 0) == (max_nfev == 400)
+        assert abs(ours.nfev - theirs.nfev) <= 2
+        # the SVDs differ in their last bits, so the steps do too; at the
+        # minimum the ends differ by up to 1.1e-8 relative (the msfcev clock
+        # stage's flat valley)
+        assert ours.cost <= theirs.cost * (1.0 + 1e-7)
 
     def test_trf_refuses_non_finite_start(self):
         class Target:
             def __call__(self, x):
                 return np.array([math.nan, x[0]])
 
-            def jac(self, x):
+            def jac(self, x, f):
                 return np.ones((2, 1))
 
         with pytest.raises(ValueError, match="not finite in the initial point"):

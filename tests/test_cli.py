@@ -309,9 +309,11 @@ class TestColdStart:
         assert self.loaded_by_cli_import("scipy.stats", argv=argv) == []
 
     def test_calibrate_command_leaves_scipy_optimize_out(self):
+        # the trust-region solver runs on numpy's SVD, without scipy.linalg
         argv = ["calibrate", "--input", SAMPLE_CHAIN, "--model", "msfcev",
                 "--seed", "42", "--out", os.devnull]
-        assert self.loaded_by_cli_import("scipy.optimize", argv=argv) == []
+        assert self.loaded_by_cli_import("scipy.optimize", "scipy.linalg",
+                                         argv=argv) == []
 
     def test_bs_family_verify_leaves_scipy_integrate_out(self):
         # Phi's quadrature, the one user of scipy.integrate, is CEV-only
@@ -325,7 +327,8 @@ class TestColdStart:
         argv = ["compare", "--input", SAMPLE_CHAIN,
                 "--models", "bs,mfbs,msfbs,cev,mfcev,msfcev", "--seed", "42",
                 "--out", os.devnull]
-        assert self.loaded_by_cli_import("scipy.stats", argv=argv) == []
+        assert self.loaded_by_cli_import("scipy.stats", "scipy.linalg",
+                                         argv=argv) == []
 
 
 class TestCalibrateCommand:
