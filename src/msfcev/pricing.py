@@ -123,8 +123,8 @@ class ModelSpec:
     def __post_init__(self) -> None:
         p = self.driver_params
         _check_finite(sigma=self.sigma, alpha=self.alpha)
-        if self.sigma <= 0.0:
-            raise DomainError(f"sigma must be positive, got {self.sigma!r}")
+        if not 0.0 < self.sigma < 2.0 ** 512:  # from 2^512 up, sigma ** 2 overflows
+            raise DomainError(f"sigma must lie in (0, 2^512), got {self.sigma!r}")
         if self.family == Family.CEV:
             if not 0.0 <= self.alpha <= _ALPHA_MAX:
                 raise DomainError(
@@ -256,7 +256,7 @@ def _check_not_nan(model: ModelSpec, values, maturities, what: str) -> None:
     :func:`specfun.bessel_i_scaled`), and a NaN must not pass for a number.
     """
     bad = np.isnan(values)
-    if bad.any():
+    if np.count_nonzero(bad):
         name = next(k for k, v in MODEL_NAMES.items()
                     if v == (model.family, model.driver))
         t = float(np.broadcast_to(maturities, bad.shape)[bad][0])
@@ -360,7 +360,7 @@ def _density(a: float, k_s, y_s, w):
     nu = 1.0 / (2.0 - a)
     sqrt_y = y_s ** 0.5
     sqrt_w = np.sqrt(w)
-    ive = specfun.bessel_i_scaled(nu, 2.0 * sqrt_y * sqrt_w)
+    ive = specfun._ive(nu, 2.0 * sqrt_y * sqrt_w)  # checked: see _chi2_coordinates
     log_pref = (math.log(2.0 - a) + nu * np.log(k_s)
                 + 0.5 * nu * (np.log(y_s) + (1.0 - 2.0 * a) * np.log(w)))
     # exp(-y - w) I_nu(2 sqrt(y w)) = ive * exp(-(sqrt y - sqrt w)^2)
@@ -401,16 +401,16 @@ def _assemble_call(spot: float, discounted_strike, itm, q1, q2):
     value at full relative accuracy; out of the money the direct form adds
     two small positive tails.
     """
-    itm_form = (spot - discounted_strike) + discounted_strike * q2 - spot * q1
-    otm_form = spot * q1 - discounted_strike * q2
-    price = np.where(itm, itm_form, otm_form)
-    lower = np.maximum(spot - discounted_strike, 0.0)
-    return np.minimum(np.maximum(price, lower), spot)
+    intrinsic = spot - discounted_strike
+    q1_part, q2_part = spot * q1, discounted_strike * q2
+    price = np.where(itm, intrinsic + q2_part - q1_part, q1_part - q2_part)
+    np.maximum(price, np.maximum(intrinsic, 0.0), out=price)
+    return np.minimum(price, spot, out=price)
 
 
 def _quote_array(values, name: str, zero_ok: bool = False) -> np.ndarray:
     """``values`` as a 1-d float64 array, finite and positive (or >= 0)."""
-    v = np.atleast_1d(np.asarray(values, dtype=np.float64))
+    v = np.array(values, dtype=np.float64, copy=None, ndmin=1)
     lo, hi = float(v.min()), float(v.max())  # NaN propagates into both
     if not ((lo >= 0.0 if zero_ok else lo > 0.0) and hi < math.inf):
         sign = ">= 0" if zero_ok else "positive"
@@ -431,11 +431,18 @@ def _chain_arrays(spot: float, maturities, rates, strikes):
 def _chi2_coordinates(a: float, spot: float, t, r, k, phi):
     """The chi-squared coordinates y, z at the effective variance ``phi``.
 
-    y = S0^(2-alpha) e^((2-alpha) r T) / Phi takes the shape of ``t``,
-    ``r`` and ``phi``, and z = K^(2-alpha) / Phi that of ``k`` and ``phi``.
+    y = S0^(2-alpha) e^((2-alpha) r T) / Phi takes the shape of ``t``, ``r``
+    and ``phi``, and z = K^(2-alpha) / Phi that of ``k`` and ``phi``.  Raises
+    ``DomainError`` where 2 (y + z), above every kernel argument, is not finite.
     """
-    k_s = 1.0 / phi
-    return k_s * spot ** (2.0 - a) * np.exp(r * (2.0 - a) * t), k_s * k ** (2.0 - a)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        k_s = 1.0 / phi
+        y, z = k_s * spot ** (2.0 - a) * np.exp(r * (2.0 - a) * t), k_s * k ** (2.0 - a)
+        ok = 2.0 * (y + z) < math.inf
+    if np.count_nonzero(ok) == ok.size:
+        return y, z
+    t, phi = (float(np.broadcast_to(v, ok.shape)[~ok][0]) for v in (t, phi))
+    raise DomainError(f"effective variance {phi!r} at maturity {t!r} is out of range")
 
 
 def _cev_coordinates(model: ModelSpec, spot: float, t, r, k):
@@ -460,7 +467,7 @@ def chain_prices(model: ModelSpec, spot: float, maturities, rates,
 
 
 def _prices_at_clock(model: ModelSpec, spot: float, t, r, k, clock) -> np.ndarray:
-    """Call prices of checked quote arrays at the clock X of each quote.
+    """Call prices of checked quotes (arrays, or floats) at the clock X of each.
 
     ``clock`` is Phi (CEV) or the total variance v (BS) and broadcasts
     against the quotes.  Of the model only the family and alpha enter:
@@ -469,16 +476,16 @@ def _prices_at_clock(model: ModelSpec, spot: float, t, r, k, clock) -> np.ndarra
     if model.family == Family.BS:
         return black_scholes_call(spot, k, r, t, clock)
     y, z = _chi2_coordinates(model.alpha, spot, t, r, k, clock)
-    two_y, two_z = np.broadcast_arrays(2.0 * y, 2.0 * z)
     df0 = 2.0 / (2.0 - model.alpha)
-    n = two_y.size
     discounted_strike = k * np.exp(-r * t)
     itm = spot >= discounted_strike
-    tails = specfun.chi2_noncentral_sf_cdf(
-        np.concatenate((two_z, two_y)),
-        np.repeat((2.0 + df0, df0), n),
-        np.concatenate((two_y, two_z)),
-        upper=np.concatenate((~itm, itm)))
+    n = itm.size
+    # the Q1 side (2z, df0 + 2, 2y), then the Q2 side (2y, df0, 2z)
+    x, df, nc = np.empty(2 * n), np.empty(2 * n), np.empty(2 * n)
+    x[:n] = nc[n:] = 2.0 * z
+    x[n:] = nc[:n] = 2.0 * y
+    df[:n], df[n:] = 2.0 + df0, df0
+    tails = specfun._chi2_tails(x, df, nc, np.concatenate((~itm, itm)))
     prices = _assemble_call(spot, discounted_strike, itm, tails[:n], tails[n:])
     _check_not_nan(model, prices, t, "price")
     return prices
@@ -506,9 +513,13 @@ def call_prices(model: ModelSpec, env: MarketEnv, maturity: float,
                 strikes) -> np.ndarray:
     """European call prices for an array of strikes at one maturity.
 
-    The one-maturity case of :func:`chain_prices`.
+    The one-maturity case of :func:`chain_prices`, to the bit: T and r stay
+    floats, and numpy's loops, not Python's, take their powers and exponentials.
     """
-    return chain_prices(model, env.spot, maturity, env.rate, strikes)
+    _check_maturity(maturity)
+    t, r = float(maturity), float(env.rate)
+    return _prices_at_clock(model, env.spot, t, r, _quote_array(strikes, "strikes"),
+                            _clock(model, r, np.asarray(t)))  # T ** (2H): a numpy loop
 
 
 def call_price(model: ModelSpec, env: MarketEnv, maturity: float,

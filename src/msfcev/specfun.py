@@ -17,9 +17,9 @@ for Bessel I, and for the chi-squared tails Boost's survival function
 relative accuracy in its own tail down to about 1e-60; above a
 non-centrality of 1e5, and below 1e-60 from nc = 1 up, the tail is a
 Gauss-Legendre quadrature of the density, one batch of points per call.
-Scalar arguments take the same array path and come back as floats.  The
-Kummer functions of the effective variance come from
-``scipy.special.hyp1f1`` in :mod:`msfcev.pricing`.
+The public functions check their arguments and call the private ``_ive``
+or ``_chi2_tails``, which :mod:`msfcev.pricing` calls directly on inputs it
+has checked.  The Kummer functions come from ``scipy.special.hyp1f1``.
 
 Everything here is pure and reentrant.
 """
@@ -87,12 +87,17 @@ def bessel_i_scaled(order, z):
     """
     order = _checked(order, lambda v: v >= 0.0, "bessel_i_scaled requires order >= 0")
     z = _checked(z, _finite_non_negative, "bessel_i_scaled requires finite z >= 0")
+    return _float_if_scalar(_ive(order, z))
+
+
+def _ive(order, z) -> np.ndarray:
+    """:func:`bessel_i_scaled` of arguments already checked, as an array."""
     out = np.asarray(special.ive(order, z))  # a 0-d ufunc result is a numpy scalar
     refused = np.isnan(out)
     if refused.any():
         order_b, z_b = np.broadcast_arrays(order, z)
         out[refused] = _ive_hankel(order_b[refused], z_b[refused])
-    return _float_if_scalar(out)
+    return out
 
 
 def _ive_hankel(order: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -160,13 +165,18 @@ def chi2_noncentral_sf_cdf(x, df, noncentrality, upper):
     df = _checked(df, lambda v: (v > 0.0) & (v < math.inf),
                   "degrees of freedom must be positive")
     nc = _checked(noncentrality, _finite_non_negative, "non-centrality must be >= 0")
-    upper = np.asarray(upper, dtype=bool)
-    out = np.ones(np.broadcast(x, df, nc, upper).shape)
+    return _float_if_scalar(_chi2_tails(*np.broadcast_arrays(
+        x, df, nc, np.asarray(upper, dtype=bool))))
+
+
+def _chi2_tails(x, df, nc, upper) -> np.ndarray:
+    """:func:`chi2_noncentral_sf_cdf` as an array, of checked arrays of one shape."""
+    out = np.ones(x.shape)
     series = np.less_equal(nc, _SERIES_NC_MAX)
     sf_inside = upper & np.greater(x, 0.0) & series
     lower = ~upper & series
-    central = np.equal(nc, 0.0)
-    if central.any():
+    if np.count_nonzero(nc) < nc.size:  # some nc is 0; cheaper than .any()
+        central = np.equal(nc, 0.0)
         special.chdtrc(df, x, out=out, where=sf_inside & central)
         sf_inside = sf_inside & ~central
     with np.errstate(over="ignore"):  # as ncx2.sf does (scipy gh-17432)
@@ -177,12 +187,11 @@ def chi2_noncentral_sf_cdf(x, df, noncentrality, upper):
     # 1e-160, and either returns exactly 0 for some tails far above
     # float64's floor; there the quadrature takes over where it holds, in
     # the same call as every point above the series' range
-    if not series.all() or out.min(initial=1.0) < _KERNEL_FLOOR:
+    if np.count_nonzero(series) < series.size or out.min(initial=1.0) < _KERNEL_FLOOR:
         quad = ~series | ((out < _KERNEL_FLOOR) & np.greater_equal(nc, 1.0)
                           & (sf_inside | (lower & np.greater(x, 0.0))))
-        out[quad] = _tail_quadrature(*(np.broadcast_to(v, out.shape)[quad]
-                                       for v in (x, df, nc, upper)))
-    return _float_if_scalar(out)
+        out[quad] = _tail_quadrature(x[quad], df[quad], nc[quad], upper[quad])
+    return out
 
 
 def _tail_quadrature(x, df, nc, upper):

@@ -65,6 +65,21 @@ class TestPrice:
         assert err.startswith("error: ") and "finite" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("model,sigma,needle", [
+        ("cev", "1e200", "sigma"), ("msfbs", "1e200", "sigma"),
+        ("cev", "1e-200", "effective variance 0.0 at maturity 1.0")])
+    def test_extreme_sigma_exit_one(self, capsys, model, sigma, needle):
+        # sigma 1e200 squares past float64 (a bare OverflowError before), and
+        # at 1e-200 Phi underflows to 0 (a divide-by-zero warning before)
+        code, out, err = run(capsys, [
+            "price", "--model", model, "--sigma", sigma, "--alpha", "1", "--rate",
+            "0.05", "--spot", "100", "--strike", "100", "--maturity", "1"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and needle in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_byte_identical_runs(self, capsys):
         a = run(capsys, PRICE_ARGS)[1]
         b = run(capsys, PRICE_ARGS)[1]

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 from dataclasses import replace
 
 import mpmath
@@ -117,6 +118,15 @@ class TestModelSpec:
         for name in ("msfcev", "bs"):
             with pytest.raises(DomainError):
                 make(name, **{field: bad})
+
+    @pytest.mark.parametrize("name", ["cev", "msfbs", "msfcev"])
+    def test_sigma_whose_square_overflows_rejected(self, name):
+        # the clocks square sigma, and a Python float's ** 2 raises
+        # OverflowError from 2^512 up
+        for bad in (1e200, 2.0 ** 512):
+            with pytest.raises(DomainError, match="sigma"):
+                make(name, sigma=bad)
+        make(name, sigma=math.nextafter(2.0 ** 512, 0.0))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_market_rejected(self, bad):
@@ -367,6 +377,33 @@ class TestChainPrices:
             with pytest.raises(DomainError, match="rate"):
                 chain_prices(m, 100.0, good, [0.05, bad], 100.0)
 
+    @pytest.mark.parametrize("name", sorted(MODEL_NAMES))
+    def test_call_prices_is_chain_prices_bit_for_bit(self, name, monkeypatch):
+        # call_prices keeps the maturity and rate scalar; a chain carries them
+        # per quote.  The CEV slices reach both quadrature routes: nc above
+        # 1e5 (alpha 1.99) and tails below the kernels' 1e-60 floor
+        quadrature, quad_ncs = specfun._tail_quadrature, []
+
+        def spy(x, df, nc, upper):
+            quad_ncs.extend(nc)
+            return quadrature(x, df, nc, upper)
+
+        monkeypatch.setattr(specfun, "_tail_quadrature", spy)
+        env = MarketEnv(rate=0.03, spot=100.0)
+        for alpha in (0.0, 0.6, 1.2, 1.9, 1.99):
+            sigma = 0.3 * 100.0 ** (1.0 - 0.5 * alpha)
+            m = make(name, sigma=sigma, alpha=alpha, hurst=0.65)
+            for t in (0.1, 1.0, 5.0):
+                strikes = 100.0 * np.exp(0.03 * t + np.linspace(-6.0, 6.0, 25)
+                                         * 0.3 * math.sqrt(t))
+                n = strikes.size
+                np.testing.assert_array_equal(
+                    call_prices(m, env, t, strikes),
+                    chain_prices(m, 100.0, np.full(n, t), np.full(n, 0.03), strikes))
+        if name.endswith("cev"):
+            assert max(quad_ncs) > specfun._SERIES_NC_MAX
+            assert min(quad_ncs) <= specfun._SERIES_NC_MAX
+
     def test_bs_broadcasts_over_maturity_and_rate(self):
         p = MixedDriverParams(hurst=0.7, beta=1.0, gamma=1.0)
         ts = np.array([0.1, 1.0, 3.0])
@@ -596,6 +633,21 @@ class TestCallPrice:
             call_price(m, env, 20.0, 100.0)
         with pytest.raises(NumericalError, match=r"maturity 20\.0"):
             call_prices(m, env, 20.0, np.array([80.0, 100.0, 120.0]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", ["cev", "msfcev"])
+    @pytest.mark.parametrize("sigma", [1e-200, 1e-155])
+    def test_effective_variance_too_small_raises(self, env100, name, sigma):
+        # Phi underflows to 0 (sigma 1e-200) or its inverse overflows
+        # (sigma 1e-155): no warning, and an error naming Phi and T
+        m = make(name, sigma=sigma, alpha=1.0, hurst=0.75)
+        phi = effective_variance(m, env100, 1.0)
+        assert phi < 1e-300
+        match = re.escape(f"effective variance {phi!r} at maturity 1.0")
+        with pytest.raises(DomainError, match=match):
+            call_prices(m, env100, 1.0, [90.0, 100.0])
+        with pytest.raises(DomainError, match=match):
+            transition_density(m, env100, 1.0, np.array([90.0, 100.0]))
 
     def test_black_scholes_textbook(self):
         env = MarketEnv(rate=0.0, spot=100.0)

@@ -426,6 +426,21 @@ class TestChi2Noncentral:
         # below nc = 1 the survival function is Boost's, bit for bit
         assert public[-1] == _ncx2_sf(*self.DEEP[-1][:3])
 
+    def test_router_is_the_public_function_after_its_checks(self):
+        # pricing calls _chi2_tails on arrays it has checked itself
+        xs, dfs, ncs, uppers, _ = (np.array(v) for v in zip(*self.DEEP))
+        np.testing.assert_array_equal(specfun._chi2_tails(xs, dfs, ncs, uppers),
+                                      chi2_noncentral_sf_cdf(xs, dfs, ncs, uppers))
+
+    @pytest.mark.xfail(strict=True, reason="ive(1000, 611.6) underflows to 0 at "
+                       "quadrature nodes, and the tail comes out NaN")
+    def test_deep_sf_where_ive_underflows(self):
+        # 27 sd above the mean; 40-digit mpmath, as the Poisson mixture of
+        # regularized upper incomplete gamma functions (the cdf is 1.0)
+        tail = chi2_noncentral_sf_cdf(3899.3456199489347, 2002.0,
+                                      95.92317595404059, True)
+        assert tail == pytest.approx(1.0671860198637292e-106, rel=1e-12, abs=0.0)
+
     def test_tails_above_the_floor_stay_the_kernels(self):
         # the route to the quadrature changes no tail a kernel puts at or
         # above 1e-60; a tail under it goes there, and a cdf at x = 0 is 0
