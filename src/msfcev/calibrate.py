@@ -187,14 +187,7 @@ def free_parameters(model_name: str) -> tuple:
 
 def build_model(model_name: str, values: dict) -> ModelSpec:
     """ModelSpec from fitted values; beta = gamma = 1 for mixed drivers."""
-    return ModelSpec.make(
-        model_name,
-        sigma=values["sigma"],
-        alpha=values.get("alpha", 1.0),
-        hurst=values.get("hurst", 0.5),
-        beta=1.0,
-        gamma=1.0 if MODEL_NAMES[model_name][1] != Driver.CLASSICAL else 0.0,
-    )
+    return ModelSpec.make(model_name, **values)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +204,7 @@ def load_chain(source, moneyness_filter: bool = False) -> OptionChain:
     (strike < 0.95 * spot) are dropped.
     """
     if isinstance(source, (str, bytes, os.PathLike)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
+        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
             return load_chain(fh, moneyness_filter)
     reader = csv.reader(source)
     try:
@@ -219,6 +212,8 @@ def load_chain(source, moneyness_filter: bool = False) -> OptionChain:
     except StopIteration:
         raise ChainFormatError("empty chain file") from None
     header = [h.strip() for h in header]
+    if header:  # a byte-order mark a stream kept, as spreadsheet exports write
+        header[0] = header[0].removeprefix("\ufeff")
     if header != CHAIN_HEADER:
         raise ChainFormatError(
             f"bad header {header!r}; expected {','.join(CHAIN_HEADER)}")
@@ -539,7 +534,8 @@ def _clock_parameters(names, stage1: _ClockProblem, v, weights=None) -> np.ndarr
 
     The clock of group i is X_i = sigma^2 g_i(H), so for each H, log
     sigma^2 is the mean of log X_i - log g_i(H), and H minimises the sum of
-    squares left; both take the groups' ``weights`` (equal if None).
+    squares left, both weighted by the groups' ``weights`` (equal if None
+    or if their sum is not positive and finite).
     That profile is bimodal for the sub-fractional driver, whose weight
     w_H = 2 - 2^(2H-1) bends g, so a local search from the whole box can
     end in the wrong mode: H is taken from a grid over its box, then from
@@ -551,8 +547,8 @@ def _clock_parameters(names, stage1: _ClockProblem, v, weights=None) -> np.ndarr
     """
     unit = stage1.unit_model(v)
     log_clocks = v[int(stage1.cev):]
-    # unit weights keep the plain mean, bit for bit
-    weights = np.ones(log_clocks.size) if weights is None else weights
+    if weights is None or not 0.0 < weights.sum() < math.inf:
+        weights = np.ones(log_clocks.size)
 
     def profile(hurst):
         """log sigma^2 and the weighted squares left, at each H of a 1-d array."""
@@ -587,7 +583,6 @@ class _Solution:
 
     params: np.ndarray
     residuals: np.ndarray
-    mse: float
     iterations: int
     evaluations: int
     converged: bool
@@ -664,12 +659,7 @@ def _trf(target, x0, max_nfev) -> _TrfResult:
             cost_new = 0.5 * np.dot(f_new, f_new)
             reduction = cost - cost_new
             # update_tr_radius
-            if predicted > 0:
-                ratio = reduction / predicted
-            elif predicted == reduction == 0:
-                ratio = 1
-            else:
-                ratio = 0
+            ratio = reduction / predicted if predicted > 0 else 0
             delta_new = delta
             if ratio < 0.25:
                 delta_new = 0.25 * step_norm
@@ -743,15 +733,13 @@ def _fit_vector(model_name: str, names, quotes: _Quotes,
     Jacobian, with at most ``cfg.maxiter`` residual evaluations (the alpha
     Jacobian column's are not counted); the clock start first solves
     :class:`_ClockProblem` and :func:`_clock_parameters`, and each further
-    start is drawn by :func:`_random_start` from one
-    ``default_rng(cfg.seed)`` when its turn comes.  When H is fitted, stage
-    2 weights each group's clock by the sum of squares of its column of
-    stage 1's final Jacobian, its weight in the price MSE; the classical
-    drivers' sigma stays the plain mean.  A start that leaves the pricing
-    domain is skipped with one warning.  If the lowest-cost start
-    stopped on its budget, it continues from its end point for at most
-    ``cfg.polish_maxiter`` evaluations, and the continuation is kept when
-    it is no worse.
+    start is drawn by :func:`_random_start` from one ``default_rng(cfg.seed)``
+    when its turn comes.  Stage 2 weights each group's clock by the sum of
+    squares of its column of stage 1's final Jacobian, its weight in the
+    price MSE.  A start that leaves the pricing domain is skipped with one
+    warning.  If the lowest-cost start stopped on its budget, it continues
+    from its end point for at most ``cfg.polish_maxiter`` evaluations, and
+    the continuation is kept when it is no worse.
 
     ``iterations`` is the residual evaluations of every start (stage 1 of
     the clock start included) and of the continuation, ``evaluations``
@@ -765,8 +753,6 @@ def _fit_vector(model_name: str, names, quotes: _Quotes,
         clocks = _trf(stage1, stage1.start(), cfg.maxiter)
         # a group's weight in the price MSE: the squares of its clock's column
         weights = np.sum(clocks.jac[:, int(stage1.cev):] ** 2, axis=0)
-        if "hurst" not in names or not 0.0 < weights.sum() < math.inf:
-            weights = None
         params = _clock_parameters(names, stage1, clocks.x, weights)
         return clocks.nfev, problem.coordinates(params)
 
@@ -799,21 +785,9 @@ def _fit_vector(model_name: str, names, quotes: _Quotes,
                 best = more
     stderr, cond = problem.uncertainty(best)
     return _Solution(params=problem.params(best.x),
-                     residuals=best.fun / problem.scale,
-                     mse=2.0 * float(best.cost), iterations=iterations,
+                     residuals=best.fun / problem.scale, iterations=iterations,
                      evaluations=problem.evaluations + stage1.evaluations,
                      converged=best.converged, stderr=stderr, jac_cond=cond)
-
-
-def _per_maturity_mse(quotes: _Quotes, sol: _Solution) -> dict:
-    """Each maturity group's mean squared residual under one fit.
-
-    A fit of one group reports its own MSE for it.
-    """
-    if quotes.starts.size == 1:
-        return dict.fromkeys(quotes.keys(), sol.mse)
-    return {key: float(np.mean(sq)) for key, sq in
-            zip(quotes.keys(), np.split(sol.residuals ** 2, quotes.starts[1:]))}
 
 
 def fit(chain: OptionChain, model_name: str, mode: str = "joint",
@@ -841,17 +815,15 @@ def fit(chain: OptionChain, model_name: str, mode: str = "joint",
     else:
         raise DomainError(f"mode must be 'joint' or 'per_maturity', got {mode!r}")
     sols = {key: _fit_vector(model_name, names, q, cfg) for key, q in scopes.items()}
-    mse_per_maturity = {}
-    for key, sol in sols.items():
-        mse_per_maturity.update(_per_maturity_mse(scopes[key], sol))
-    mse, n = [s.mse for s in sols.values()], [q.mids.size for q in scopes.values()]
-    # the quote-weighted mean; a single fit's MSE is kept exactly
-    total_mse = mse[0] if len(mse) == 1 else sum(a * b for a, b in zip(mse, n)) / sum(n)
+    # every MSE is the mean of its quotes' squared residuals
+    squares = {key: s.residuals ** 2 for key, s in sols.items()}
+    mse_per_maturity = {k: float(np.mean(sq)) for key, q in scopes.items() for k, sq in
+                        zip(q.keys(), np.split(squares[key], q.starts[1:]))}
     return CalibrationReport(
         mode=mode,
         fitted={key: dict(zip(names, map(float, s.params))) for key, s in sols.items()},
         mse_per_maturity=mse_per_maturity,
-        total_mse=total_mse,
+        total_mse=float(np.mean(np.concatenate(list(squares.values())))),
         iterations=sum(s.iterations for s in sols.values()),
         converged=all(s.converged for s in sols.values()),
         evaluations=sum(s.evaluations for s in sols.values()),

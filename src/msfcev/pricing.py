@@ -44,7 +44,7 @@ from scipy import special
 
 from . import specfun
 from .errors import DomainError, NumericalError
-from .process import MixedDriverParams
+from .process import MixedDriverParams, _check_finite, _check_times
 
 __all__ = [
     "Family",
@@ -70,16 +70,15 @@ __all__ = [
 _ALPHA_MAX = 2.0 - 1e-6
 
 
-def _check_finite(**values) -> None:
-    """Reject NaN and infinite scalar inputs where they enter."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value!r}")
-
-
 def _check_maturity(maturity: float) -> None:
     if not 0.0 < maturity < math.inf:
         raise DomainError(f"maturity must be positive and finite, got {maturity!r}")
+
+
+def _check_strike(strike: float, zero_ok: bool = False) -> None:
+    if not ((0.0 <= strike if zero_ok else 0.0 < strike) and strike < math.inf):
+        sign = ">= 0" if zero_ok else "positive"
+        raise DomainError(f"strike must be {sign} and finite, got {strike!r}")
 
 
 class Family(str, Enum):
@@ -196,7 +195,7 @@ class PricingIntermediates:
     z_s: float
 
 
-def diffusion_kernel(driver: Driver, hurst: float, t: float) -> float:
+def diffusion_kernel(driver: Driver, hurst: float, t):
     """Second-order kernel lambda(t) of the driver's Ito correction.
 
     classical              : 1/2
@@ -204,15 +203,15 @@ def diffusion_kernel(driver: Driver, hurst: float, t: float) -> float:
     mixed_sub_fractional   : H t^(2H-1) (2 - 2^(2H-1))
 
     All three coincide (= 1/2) at H = 1/2.  Defined for t >= 0 by
-    continuity (value 0 at t = 0 when H > 1/2).
+    continuity (value 0 at t = 0 when H > 1/2).  Broadcasts over an array
+    of times; a float t gives a float.
     """
     if not 0.5 <= hurst < 1.0:
         raise DomainError(f"hurst must lie in [1/2, 1), got {hurst!r}")
-    if not 0.0 <= t < math.inf:
-        raise DomainError(f"time must be finite and >= 0, got {t!r}")
-    if driver == Driver.CLASSICAL:
-        return 0.5
-    return hurst * t ** (2.0 * hurst - 1.0) * _subfractional_weight(driver, hurst)
+    [times] = _check_times(t)
+    out = (np.full(times.shape, 0.5) if driver == Driver.CLASSICAL else
+           hurst * times ** (2.0 * hurst - 1.0) * _subfractional_weight(driver, hurst))
+    return float(out[0]) if np.ndim(t) == 0 else out
 
 
 def _subfractional_weight(driver: Driver, hurst: float) -> float:
@@ -227,10 +226,8 @@ def driver_variance(driver: Driver, params: MixedDriverParams, t):
 
     Broadcasts over an array or a list of times.
     """
-    t = np.asarray(t)[()]  # a scalar stays a scalar, priced as before
-    if not (np.greater_equal(t, 0.0) & np.less(t, math.inf)).all():
-        raise DomainError(f"time must be finite and >= 0, got {t!r}")
-    return _driver_variance(driver, params, t)
+    _check_times(t)
+    return _driver_variance(driver, params, np.asarray(t)[()])  # a scalar stays a scalar
 
 
 def _driver_variance(driver: Driver, params: MixedDriverParams, t, hurst=None):
@@ -319,8 +316,7 @@ def effective_variance(model: ModelSpec, env: MarketEnv, maturity: float) -> flo
 def cev_intermediates(model: ModelSpec, env: MarketEnv, maturity: float,
                       strike: float) -> PricingIntermediates:
     """Chi-squared coordinates k_s, y_s, z_s for one evaluation."""
-    if not 0.0 < strike < math.inf:
-        raise DomainError(f"strike must be positive and finite, got {strike!r}")
+    _check_strike(strike)
     _check_cev(model)
     _check_maturity(maturity)
     phi, y, z = map(float, _cev_coordinates(model, env.spot, maturity, env.rate,
@@ -411,7 +407,8 @@ def _assemble_call(spot: float, discounted_strike, itm, q1, q2):
 def _quote_array(values, name: str, zero_ok: bool = False) -> np.ndarray:
     """``values`` as a 1-d float64 array, finite and positive (or >= 0)."""
     v = np.array(values, dtype=np.float64, copy=None, ndmin=1)
-    lo, hi = float(v.min()), float(v.max())  # NaN propagates into both
+    # NaN propagates into both; an empty array passes
+    lo, hi = float(v.min(initial=math.inf)), float(v.max(initial=-math.inf))
     if not ((lo >= 0.0 if zero_ok else lo > 0.0) and hi < math.inf):
         sign = ">= 0" if zero_ok else "positive"
         raise DomainError(f"{name} must be {sign} and finite, "

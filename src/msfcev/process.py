@@ -51,10 +51,7 @@ class MixedDriverParams:
     gamma: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("hurst", "beta", "gamma"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value!r}")
+        _check_finite(hurst=self.hurst, beta=self.beta, gamma=self.gamma)
         if not 0.0 < self.hurst < 1.0:
             raise DomainError(f"hurst must lie in (0, 1), got {self.hurst!r}")
         if self.beta < 0.0 or self.gamma < 0.0:
@@ -71,7 +68,7 @@ class TimeGrid:
 
     def __init__(self, times) -> None:
         t = tuple(float(v) for v in times)
-        _check_times(*t)
+        _check_times(t)
         if len(t) < 2:
             raise DomainError("time grid needs at least two points")
         if t[0] != 0.0:
@@ -112,28 +109,51 @@ class PathBatch:
                    comments="", fmt="%.17g")
 
 
-def _check_times(*times) -> None:
-    """Reject NaN, infinite and negative times where they enter."""
-    for t in times:
-        if not 0.0 <= t < math.inf:
-            raise DomainError(f"times must be finite and >= 0, got {t!r}")
+def _check_finite(**values) -> None:
+    """Reject NaN and infinite scalar inputs where they enter."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")
 
 
-def sfbm_covariance(s: float, t: float, hurst: float) -> float:
-    """Covariance of the sub-fractional component at times s, t >= 0."""
+def _check_times(*times) -> list:
+    """``times`` as float64 arrays, each checked finite and >= 0."""
+    # at least 1-d, so that a time alone takes numpy's array loops: its
+    # scalar arithmetic rounds powers differently
+    arrays = [np.array(t, dtype=np.float64, ndmin=1) for t in times]
+    for t in arrays:
+        ok = (t >= 0.0) & (t < math.inf)
+        if not ok.all():
+            raise DomainError(f"times must be finite and >= 0, got {float(t[~ok][0])!r}")
+    return arrays
+
+
+def sfbm_covariance(s, t, hurst: float):
+    """Covariance of the sub-fractional component at times s, t >= 0.
+
+    The mixed driver's at beta = 0, gamma = 1; see :func:`msfbm_covariance`.
+    """
     if not 0.0 < hurst < 1.0:
         raise DomainError(f"hurst must lie in (0, 1), got {hurst!r}")
-    _check_times(s, t)
-    h2 = 2.0 * hurst
-    return s ** h2 + t ** h2 - 0.5 * ((s + t) ** h2 + abs(t - s) ** h2)
+    return msfbm_covariance(s, t, MixedDriverParams(hurst=hurst, beta=0.0, gamma=1.0))
 
 
-def msfbm_covariance(s: float, t: float, params: MixedDriverParams) -> float:
-    """Covariance of the mixed driver: beta^2 min(s,t) + gamma^2 * sub-fractional part."""
-    _check_times(s, t)
-    out = params.beta ** 2 * min(s, t)
+def msfbm_covariance(s, t, params: MixedDriverParams):
+    """Covariance of the mixed driver: beta^2 min(s,t) + gamma^2 * sub-fractional part.
+
+    Broadcasts over arrays of times; floats give a float.
+    """
+    out = _covariance(*_check_times(s, t), params)
+    return float(out[0]) if np.ndim(s) == np.ndim(t) == 0 else out
+
+
+def _covariance(s, t, params: MixedDriverParams):
+    """:func:`msfbm_covariance` of checked time arrays."""
+    h2 = 2.0 * params.hurst
+    out = params.beta ** 2 * np.minimum(s, t)
     if params.gamma != 0.0:
-        out += params.gamma ** 2 * sfbm_covariance(s, t, params.hurst)
+        out = out + params.gamma ** 2 * (
+            s ** h2 + t ** h2 - 0.5 * ((s + t) ** h2 + np.abs(t - s) ** h2))
     return out
 
 
@@ -174,14 +194,7 @@ def increment_variance(s: float, t: float, params: MixedDriverParams) -> float:
 def covariance_matrix(grid: TimeGrid, params: MixedDriverParams) -> np.ndarray:
     """Driver covariance over the positive grid times (t = 0 excluded)."""
     ts = grid.as_array()[1:]
-    h2 = 2.0 * params.hurst
-    s_m, t_m = np.meshgrid(ts, ts, indexing="ij")
-    cov = params.beta ** 2 * np.minimum(s_m, t_m)
-    if params.gamma != 0.0:
-        cov = cov + params.gamma ** 2 * (
-            s_m ** h2 + t_m ** h2
-            - 0.5 * ((s_m + t_m) ** h2 + np.abs(t_m - s_m) ** h2))
-    return cov
+    return _covariance(*np.meshgrid(ts, ts, indexing="ij"), params)
 
 
 def _factor(cov: np.ndarray) -> np.ndarray:

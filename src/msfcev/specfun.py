@@ -210,8 +210,8 @@ def _tail_quadrature(x, df, nc, upper):
     fast as ``ive`` at z 1e5-1e8, wherever z >= 1e3 and its first term
     ratio 4 nu^2 / 8z is at most 1, so that its terms only fall (there it
     is within 3e-16 of 30-digit mpmath at orders 99 and 1000);
-    :func:`bessel_i_scaled` takes the other nodes and any where the
-    expansion does not converge.  The exponent's largest part,
+    :func:`_ive` takes the other nodes and any where the expansion does
+    not converge.  The exponent's largest part,
     -(sqrt(x) - sqrt(nc))^2 / 2, is taken in extended precision, so a tail
     near 1e-160 keeps the digits a float64 rounding of it would cost (1e-13;
     where ``np.longdouble`` is float64, that is what it costs).  Below
@@ -249,7 +249,7 @@ def _tail_quadrature(x, df, nc, upper):
         log_f -= step * (gap[:, None] + 0.5 * step)
         slow = np.isnan(bessel)
         if slow.any():  # ive, which can underflow where log f is large
-            log_f[slow] += np.log(bessel_i_scaled(order[slow], z[slow]))
+            log_f[slow] += np.log(_ive(order[slow], z[slow]))
             bessel[slow] = 1.0
         # the nodes are scaled by the first one, at u ~ sqrt(x), next to the
         # integrand's peak, so neither the sum nor the scale over- or underflows

@@ -32,9 +32,9 @@ from scipy.linalg.lapack import dgtsv
 
 from .errors import DomainError, NumericalError
 from .pricing import (Driver, Family, MarketEnv, ModelSpec, _cev_coordinates,
-                      _density, _subfractional_weight, call_price,
-                      diffusion_kernel, driver_variance, effective_variance,
-                      transition_density)
+                      _check_cev, _check_maturity, _check_strike, _density,
+                      _subfractional_weight, call_price, diffusion_kernel,
+                      driver_variance, effective_variance, transition_density)
 from .process import block_rng
 
 __all__ = [
@@ -119,17 +119,6 @@ class Check:
         return self.value <= self.tol
 
 
-def _check_inputs(maturity: float, strike: float | None = None,
-                  zero_strike_ok: bool = False) -> None:
-    """Reject a maturity or strike outside an oracle's domain, NaN and inf included."""
-    if not 0.0 < maturity < math.inf:
-        raise DomainError(f"maturity must be positive and finite, got {maturity!r}")
-    if strike is not None and not (
-            (0.0 <= strike if zero_strike_ok else 0.0 < strike) and strike < math.inf):
-        sign = ">= 0" if zero_strike_ok else "positive"
-        raise DomainError(f"strike must be {sign} and finite, got {strike!r}")
-
-
 def solve_fpe(model: ModelSpec, env: MarketEnv, maturity: float,
               grid: FpeGrid) -> FpeSolution:
     """Crank-Nicolson solution of the forward equation in x = S^(2-alpha).
@@ -152,7 +141,7 @@ def solve_fpe(model: ModelSpec, env: MarketEnv, maturity: float,
     """
     if model.family != Family.CEV:
         raise DomainError("the forward-equation oracle covers the CEV family only")
-    _check_inputs(maturity)
+    _check_maturity(maturity)
     a = model.alpha
     p = model.driver_params
     x0 = env.spot ** (2.0 - a)
@@ -164,14 +153,11 @@ def solve_fpe(model: ModelSpec, env: MarketEnv, maturity: float,
             f"grid does not cover x0 = {x0:.6g} with margin; "
             f"x range is [{grid.x_min}, {grid.x_max}]")
 
-    def dcoef(t: float) -> float:
-        kern = 0.5 * p.beta ** 2
-        if p.gamma != 0.0 and model.driver != Driver.CLASSICAL:
-            kern += p.gamma ** 2 * diffusion_kernel(model.driver, p.hurst, t)
-        return kern * (2.0 - a) ** 2 * model.sigma ** 2
-
     dt = maturity / grid.n_time
-    d = [dcoef(t) for t in dt * np.arange(grid.n_time + 1)]
+    # a classical driver has gamma = 0 (see ModelSpec)
+    kern = 0.5 * p.beta ** 2 + p.gamma ** 2 * diffusion_kernel(
+        model.driver, p.hurst, dt * np.arange(grid.n_time + 1))
+    d = kern * (2.0 - a) ** 2 * model.sigma ** 2
 
     # tridiagonals of A and R on the interior nodes, scaled by -dt/2, so the
     # implicit matrix at D is I + D A + R and the explicit one I - D A - R;
@@ -275,7 +261,8 @@ def mc_price_msfbs(model: ModelSpec, env: MarketEnv, maturity: float,
     """
     if model.family != Family.BS:
         raise DomainError("mc_price_msfbs covers the BS family only")
-    _check_inputs(maturity, strike)
+    _check_maturity(maturity)
+    _check_strike(strike)
     v = model.sigma ** 2 * driver_variance(model.driver, model.driver_params,
                                            maturity)
     sd = math.sqrt(v)
@@ -296,7 +283,8 @@ def mc_price_cev_classical(model: ModelSpec, env: MarketEnv, maturity: float,
     """
     if model.family != Family.CEV or model.driver != Driver.CLASSICAL:
         raise DomainError("the Euler oracle covers the classical-driver CEV only")
-    _check_inputs(maturity, strike)
+    _check_maturity(maturity)
+    _check_strike(strike)
     if cfg.n_steps < 200 * maturity:
         warnings.warn(
             f"n_steps = {cfg.n_steps} is below the 200 * T = {200 * maturity:.0f} "
@@ -328,9 +316,8 @@ def effective_variance_quadrature(model: ModelSpec, env: MarketEnv,
     """
     from scipy import integrate  # only here: it loads all of scipy's optimizers
 
-    if model.family != Family.CEV:
-        raise DomainError("operation defined for the CEV family only")
-    _check_inputs(maturity)
+    _check_cev(model)
+    _check_maturity(maturity)
     p = model.driver_params
     a = model.alpha
     c = (2.0 - a) * env.rate
@@ -402,7 +389,8 @@ def quadrature_price(model: ModelSpec, env: MarketEnv, maturity: float,
     """
     if model.family != Family.CEV:
         raise DomainError("quadrature_price covers the CEV family only")
-    _check_inputs(maturity, strike, zero_strike_ok=True)
+    _check_maturity(maturity)
+    _check_strike(strike, zero_ok=True)
     k_s, y_s = _scale_and_spot(model, env, maturity)
     a = model.alpha
     nu = 1.0 / (2.0 - a)

@@ -43,6 +43,20 @@ class TestLoadChain:
         with pytest.raises(ChainFormatError, match="header"):
             cal.load_chain(io.StringIO("a,b,c\n1,2,3\n"))
 
+    def test_byte_order_mark_accepted(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with one
+        with open("data/sample_chain.csv", encoding="utf-8") as fh:
+            text = fh.read()
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        plain = cal.load_chain("data/sample_chain.csv")
+        for source in (path, io.StringIO("\ufeff" + text)):
+            chain = cal.load_chain(source)
+            assert chain == plain
+        cfg = cal.OptimizerConfig(seed=42)
+        assert cal.fit(chain, "msfcev", "joint", cfg).to_json() == \
+            cal.fit(plain, "msfcev", "joint", cfg).to_json()
+
     def test_empty_file(self):
         with pytest.raises(ChainFormatError):
             cal.load_chain(io.StringIO(""))
@@ -362,6 +376,33 @@ class TestFit:
         report = cal.fit(cal.OptionChain("2024-01-02", quotes), name, "joint")
         assert report.converged
         assert report.total_mse <= 1e-20
+
+    def test_classical_clock_start_weights_its_clocks(self, env100, monkeypatch):
+        # cev clocks off an msfcev chain follow no one sigma, so the weighted
+        # and the plain mean of stage 2 give different starts
+        model = ModelSpec.make("msfcev", sigma=0.3, alpha=1.2, hurst=0.9)
+        chain = cal.synthetic_chain(model, env100, (0.25, 1.0, 3.0), n_strikes=6)
+        seen = {}
+        stage_two, solve = cal._clock_parameters, cal._trf
+
+        def spy_stage_two(names, stage1, v, weights=None):
+            seen["weights"], seen["plain"] = weights, stage_two(names, stage1, v)
+            seen["weighted"] = stage_two(names, stage1, v, weights)
+            return seen["weighted"]
+
+        def spy_solve(target, x0, max_nfev):
+            if isinstance(target, cal._Problem):
+                seen.setdefault("start", target.params(x0))
+            return solve(target, x0, max_nfev)
+
+        monkeypatch.setattr(cal, "_clock_parameters", spy_stage_two)
+        monkeypatch.setattr(cal, "_trf", spy_solve)
+        cal.fit(chain, "cev", "joint")
+        assert np.ptp(seen["weights"]) > 0.0  # unequal weights reach stage 2
+        assert abs(seen["weighted"][0] / seen["plain"][0] - 1.0) > 1e-3
+        # the joint solve starts from the weighted sigma (after the logistic
+        # round trip)
+        assert seen["start"] == pytest.approx(seen["weighted"], rel=1e-12)
 
     def test_invalid_mode(self, small_chain):
         with pytest.raises(DomainError):

@@ -72,6 +72,25 @@ class TestDiffusionKernel:
             with pytest.raises(DomainError, match="finite"):
                 diffusion_kernel(driver, 0.7, t)
 
+    @pytest.mark.parametrize("driver", list(Driver))
+    @pytest.mark.parametrize("hurst", [0.5, 0.6, 0.75, 0.9])
+    def test_broadcasts_as_its_scalar_calls(self, driver, hurst):
+        ts = np.array([0.0, 1e-3, 0.37, 1.0, 2.0, 7.5])
+        got = diffusion_kernel(driver, hurst, ts)
+        assert got.shape == ts.shape
+        for t, value in zip(ts.tolist(), got.tolist()):
+            scalar = diffusion_kernel(driver, hurst, t)
+            assert type(scalar) is float
+            assert scalar == value  # bit for bit
+        # the one call the forward equation makes over its time grid
+        grid = diffusion_kernel(driver, hurst, np.linspace(0.0, 2.0, 601))
+        assert grid.tolist() == [diffusion_kernel(driver, hurst, t)
+                                 for t in np.linspace(0.0, 2.0, 601).tolist()]
+
+    def test_bad_element_of_array_rejected(self):
+        with pytest.raises(DomainError, match="times must be finite and >= 0"):
+            diffusion_kernel(Driver.MIXED_FRACTIONAL, 0.7, np.array([1.0, -1.0]))
+
 
 class TestModelSpec:
     def test_classical_canonicalization(self):
@@ -351,6 +370,21 @@ class TestChainPrices:
         chain = chain_prices(m, 100.0, np.array(ts), np.array(rs),
                              np.array(ks))
         np.testing.assert_array_equal(chain, np.concatenate(slices))
+
+    @pytest.mark.parametrize("name", ["bs", "mfbs", "msfbs", "cev", "mfcev",
+                                      "msfcev"])
+    def test_no_strikes_price_to_empty(self, env100, name):
+        m = make(name, alpha=0.8, hurst=0.75)
+        for prices in (call_prices(m, env100, 1.0, []),
+                       chain_prices(m, 100.0, [], [], [])):
+            assert isinstance(prices, np.ndarray) and prices.shape == (0,)
+        if m.family == Family.CEV:
+            assert transition_density(m, env100, 1.0, []).shape == (0,)
+        # a NaN strike still raises
+        with pytest.raises(DomainError, match="strikes must be positive"):
+            call_prices(m, env100, 1.0, [math.nan])
+        with pytest.raises(DomainError, match="strikes must be positive"):
+            chain_prices(m, 100.0, [1.0], [0.05], [math.nan])
 
     def test_scalars_broadcast(self, env100):
         m = make("msfcev", alpha=1.2, hurst=0.75)

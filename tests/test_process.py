@@ -51,6 +51,47 @@ class TestCovariances:
         with pytest.raises(DomainError, match="times must be finite and >= 0"):
             msfbm_covariance(t, s, MixedDriverParams(hurst=0.7))
 
+    @pytest.mark.parametrize("params", [
+        MixedDriverParams(hurst=0.7, beta=1.0, gamma=0.0),
+        MixedDriverParams(hurst=0.6, beta=1.0, gamma=1.0),
+        MixedDriverParams(hurst=0.9, beta=0.3, gamma=1.7),
+        MixedDriverParams(hurst=0.3, beta=0.0, gamma=1.0),
+    ])
+    def test_broadcast_as_scalar_calls(self, params):
+        ts = np.array([0.0, 0.013, 0.5, 1.0, 1.7, 4.2])
+        s_m, t_m = np.meshgrid(ts, ts, indexing="ij")
+        mixed = msfbm_covariance(s_m, t_m, params)
+        sub = sfbm_covariance(s_m, t_m, params.hurst)
+        assert mixed.shape == sub.shape == s_m.shape
+        for i, s in enumerate(ts.tolist()):
+            # a float against an array broadcasts too
+            assert msfbm_covariance(s, ts, params).tolist() == mixed[i].tolist()
+            for j, t in enumerate(ts.tolist()):
+                one, part = msfbm_covariance(s, t, params), sfbm_covariance(
+                    s, t, params.hurst)
+                assert type(one) is float and type(part) is float
+                assert one == mixed[i, j] and part == sub[i, j]  # bit for bit
+
+    def test_matrix_is_the_covariance_on_the_meshgrid(self):
+        params = MixedDriverParams(hurst=0.65, beta=0.8, gamma=1.2)
+        grid = TimeGrid([0.0, 0.1, 0.25, 0.6, 1.0, 3.0])
+        ts = grid.as_array()[1:]
+        cov = covariance_matrix(grid, params)
+        np.testing.assert_array_equal(
+            cov, msfbm_covariance(*np.meshgrid(ts, ts, indexing="ij"), params))
+        assert cov.tolist() == [[msfbm_covariance(s, t, params) for t in ts.tolist()]
+                                for s in ts.tolist()]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+    def test_array_time_check_rejects_any_bad_element(self, bad):
+        times = np.array([0.0, 1.0, bad, 2.0])
+        with pytest.raises(DomainError, match=f"times must be finite and >= 0, got {bad!r}"):
+            process._check_times(np.array([0.5]), times)
+        with pytest.raises(DomainError, match="times must be finite and >= 0"):
+            msfbm_covariance(times, 1.0, MixedDriverParams(hurst=0.7))
+        assert [t.tolist() for t in process._check_times(0.5, times[:2])] == \
+            [[0.5], [0.0, 1.0]]
+
     def test_msfbm_examples(self):
         pure_bm = MixedDriverParams(hurst=0.7, beta=1.0, gamma=0.0)
         assert msfbm_covariance(1.0, 2.0, pure_bm) == 1.0
