@@ -55,6 +55,7 @@ from .errors import CalibrationError, ChainFormatError, DomainError
 from .pricing import (MODEL_NAMES, Driver, Family, MarketEnv, ModelSpec,
                       _chain_arrays, _clock, _clock_slope, _prices_at_clock,
                       _quote_array, chain_prices)
+from .process import _check_seed
 
 __all__ = [
     "MarketQuote",
@@ -131,8 +132,7 @@ class OptimizerConfig:
         for name in ("n_starts", "maxiter", "polish_maxiter"):
             if getattr(self, name) < 1:
                 raise DomainError(f"{name} must be at least 1")
-        if not 0 <= self.seed < 2 ** 64:
-            raise DomainError("seed must be an unsigned 64-bit integer")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,20 @@ with Hurst index H.  The sub-fractional covariance is
 
 which reduces to min(s, t) at H = 1/2.  Sampling is exact: the joint
 Gaussian law over a time grid is factorized and multiplied into seeded
-normal draws.
+normal draws.  The draws come in blocks of paths, each from its own
+counter-based substream, and large batches run their blocks on every
+usable core.  On grids of up to 64 intervals the paths are the same bits
+for any number of cores; on wider grids OpenBLAS threads the product
+itself, and its threading moves the last bits (at 300 time points the
+paths differ between ``OPENBLAS_NUM_THREADS=1`` and ``2``).
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +41,16 @@ __all__ = [
     "block_rng",
 ]
 
-_BLOCK = 4096  # paths per RNG substream; fixed so output never depends on scheduling
+# paths per RNG substream; fixed, so the paths never depend on how many
+# cores draw the blocks or in what order they finish
+_BLOCK = 4096
+# rows * m * m of one product in the pool: OpenBLAS runs a GEMM this small
+# on the calling thread and never wakes its own threads, which would spin
+# against the pool's
+_GEMM_ELEMENTS = 2 ** 18
+_pool: tuple[int, ThreadPoolExecutor] | None = None  # (pid that made it, pool)
+_pool_lock = threading.Lock()
+_buffers = threading.local()  # each pool thread's normal buffer
 
 
 @dataclass(frozen=True)
@@ -221,25 +237,90 @@ def sample_msfbm(grid: TimeGrid, params: MixedDriverParams,
     """Draw exact joint samples of the driver over the grid.
 
     Deterministic for a given seed: paths are generated in fixed blocks of
-    4096, each from its own counter-based substream, so the result is
-    independent of how the blocks might be scheduled.  Every block draws
-    into one normal buffer and multiplies straight into the output, so the
-    loop allocates nothing per block.
+    4096, each from its own counter-based substream.  On grids of up to 64
+    intervals, batches of more than two blocks per usable core run on a
+    pool of one thread per core, and each block's product is split into
+    row chunks small enough for OpenBLAS to run on one thread; the paths
+    are the same bits for any number of cores, pool or not.  Wider grids
+    run their blocks one after another, and OpenBLAS threads each block's
+    product; there its threading moves the last bits (at 300 time points
+    the paths differ between ``OPENBLAS_NUM_THREADS=1`` and ``2``).
     """
     if n_paths < 1:
         raise DomainError("n_paths must be >= 1")
+    _check_seed(seed)
     factor = _factor(covariance_matrix(grid, params))
     m = len(grid) - 1
     out = np.zeros((n_paths, m + 1))
-    z = np.empty((min(_BLOCK, n_paths), m))
     n_blocks = (n_paths + _BLOCK - 1) // _BLOCK
-    for b in range(n_blocks):
+    chunk = _GEMM_ELEMENTS // (m * m)
+    cores = _usable_cores()
+    # wide grids, where the product dominates and OpenBLAS threads it, run
+    # serially, and so do small batches: on two cores, batches of up to four
+    # blocks gained nothing on the pool when other work ran between them
+    pooled = chunk >= 64 and cores > 1 and n_blocks > 2 * cores
+
+    def draw(b: int, z: np.ndarray) -> None:
         lo = b * _BLOCK
         hi = min(lo + _BLOCK, n_paths)
-        zb = z[:hi - lo]
-        block_rng(seed, b).standard_normal(out=zb)
-        np.matmul(zb, factor.T, out=out[lo:hi, 1:])
+        zb = z[:(hi - lo) * m].reshape(hi - lo, m)
+        _philox(seed, b).standard_normal(out=zb)
+        # chunks of near-equal size, so none is a short remainder: OpenBLAS
+        # multiplies one row, or a few (rows * m <= 1200 at m >= 32), with
+        # other kernels, whose sums round differently from the block's
+        n_chunks = (hi - lo + chunk - 1) // chunk if pooled else 1
+        edges = [(hi - lo) * k // n_chunks for k in range(n_chunks + 1)]
+        for i, j in zip(edges, edges[1:]):
+            np.matmul(zb[i:j], factor.T, out=out[lo + i:lo + j, 1:])
+
+    if pooled:
+        for _ in _block_pool(cores).map(lambda b: draw(b, _worker_buffer(_BLOCK * m)),
+                                        range(n_blocks)):
+            pass
+    else:
+        z = np.empty(min(_BLOCK, n_paths) * m)
+        for b in range(n_blocks):
+            draw(b, z)
     return PathBatch(grid=grid, paths=out, seed=seed)
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _block_pool(workers: int) -> ThreadPoolExecutor:
+    """The process's pool of ``workers`` sampling threads, made on first use.
+
+    Keyed by the process id: a pool inherited through ``fork`` has no
+    threads, and work handed to it would never run.
+    """
+    global _pool
+    pid = os.getpid()
+    with _pool_lock:
+        if _pool is None or _pool[0] != pid:
+            _pool = (pid, ThreadPoolExecutor(max_workers=workers))
+        return _pool[1]
+
+
+def _worker_buffer(size: int) -> np.ndarray:
+    """This thread's buffer of at least ``size`` floats, kept between calls.
+
+    A fresh block buffer would be mapped and unmapped by every block while
+    glibc's mmap threshold is at or below its size.
+    """
+    z = getattr(_buffers, "z", None)
+    if z is None or z.size < size:
+        z = _buffers.z = np.empty(size)
+    return z
+
+
+def _check_seed(seed: int) -> None:
+    """Reject a seed that is not an unsigned 64-bit integer."""
+    if not 0 <= seed < 2 ** 64:
+        raise DomainError("seed must be an unsigned 64-bit integer")
 
 
 def block_rng(seed: int, block: int) -> np.random.Generator:
@@ -249,7 +330,10 @@ def block_rng(seed: int, block: int) -> np.random.Generator:
     block index (high word), giving independent streams per block without
     any sequential jumping.
     """
-    if not 0 <= seed < 2 ** 64:
-        raise DomainError("seed must be an unsigned 64-bit integer")
-    return np.random.Generator(np.random.Philox(key=(seed & 0xFFFFFFFFFFFFFFFF)
-                                                + (block << 64)))
+    _check_seed(seed)
+    return _philox(seed, block)
+
+
+def _philox(seed: int, block: int) -> np.random.Generator:
+    """:func:`block_rng` of a checked seed."""
+    return np.random.Generator(np.random.Philox(key=seed + (block << 64)))

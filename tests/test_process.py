@@ -1,5 +1,7 @@
 import io
 import math
+import multiprocessing
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +14,23 @@ from msfcev.process import (MixedDriverParams, PathBatch, TimeGrid,
                             block_rng, covariance_matrix, increment_covariance,
                             increment_variance, msfbm_covariance,
                             sample_msfbm, sfbm_covariance)
+
+
+def _block_reference(grid, params, n_paths, seed):
+    """The paths as one fresh draw and one product per 4096-path block."""
+    factor = process._factor(covariance_matrix(grid, params))
+    want = np.zeros((n_paths, len(grid)))
+    for b, lo in enumerate(range(0, n_paths, 4096)):
+        hi = min(lo + 4096, n_paths)
+        z = block_rng(seed, b).standard_normal((hi - lo, len(grid) - 1))
+        want[lo:hi, 1:] = z @ factor.T
+    return want
+
+
+def _sample_and_compare(grid, params, seed, want):
+    # runs in a forked child, which exits non-zero if the assertion fails
+    assert np.array_equal(sample_msfbm(grid, params, len(want), seed).paths, want)
+
 
 times_st = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
 
@@ -244,19 +263,55 @@ class TestSampling:
         large = sample_msfbm(g, p, 10000, seed=9)
         assert np.array_equal(small.paths, large.paths[:4096])
 
-    @pytest.mark.parametrize("n_paths", [1, 4096, 16_461])
-    def test_blocks_match_fresh_draws_bit_for_bit(self, n_paths):
-        # the reused block buffers give the paths of a fresh normal draw and
-        # a fresh product per block, a partial last block included
+    @pytest.mark.parametrize("n_paths", [1, 4096, 16_461, 10 * 4096 + 2622])
+    @pytest.mark.parametrize("intervals", [10, 20, 64, 100])
+    def test_blocks_match_fresh_draws_bit_for_bit(self, intervals, n_paths,
+                                                  monkeypatch):
+        # each block, drawn serially or (more than four blocks on two
+        # cores, up to 64 intervals) on the pool in row chunks, gives the
+        # paths of a fresh normal draw and one product per block, a
+        # partial last block included
+        monkeypatch.setattr(process, "_usable_cores", lambda: 2)
+        g = TimeGrid(np.linspace(0.0, 2.0, intervals + 1))
+        p = MixedDriverParams(hurst=0.75)
+        assert np.array_equal(sample_msfbm(g, p, n_paths, seed=5).paths,
+                              _block_reference(g, p, n_paths, seed=5))
+
+    def test_threads_sampling_at_once_get_the_reference_bits(self, monkeypatch):
+        monkeypatch.setattr(process, "_usable_cores", lambda: 2)
+        g = TimeGrid(np.linspace(0.0, 2.0, 21))
+        p = MixedDriverParams(hurst=0.75)
+        want = _block_reference(g, p, 9 * 4096 + 3, seed=8)
+        start = threading.Barrier(2)
+        got = [None, None]
+
+        def sample(k):
+            start.wait(timeout=30)
+            got[k] = sample_msfbm(g, p, len(want), seed=8).paths
+
+        threads = [threading.Thread(target=sample, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert all(np.array_equal(paths, want) for paths in got)
+
+    def test_forked_child_samples_the_parents_bits(self, monkeypatch):
+        # the child inherits a pool whose threads it does not have
+        monkeypatch.setattr(process, "_usable_cores", lambda: 2)
         g = TimeGrid(np.linspace(0.0, 2.0, 11))
         p = MixedDriverParams(hurst=0.75)
-        factor = process._factor(covariance_matrix(g, p))
-        want = np.zeros((n_paths, len(g)))
-        for b, lo in enumerate(range(0, n_paths, 4096)):
-            hi = min(lo + 4096, n_paths)
-            z = block_rng(5, b).standard_normal((hi - lo, len(g) - 1))
-            want[lo:hi, 1:] = z @ factor.T
-        assert np.array_equal(sample_msfbm(g, p, n_paths, seed=5).paths, want)
+        want = sample_msfbm(g, p, 8 * 4096, seed=6).paths
+        child = multiprocessing.get_context("fork").Process(
+            target=_sample_and_compare, args=(g, p, 6, want))
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("forked child hung while sampling")
+        assert child.exitcode == 0
 
     def test_paths_start_at_zero(self):
         g = TimeGrid([0.0, 0.3, 0.8])
@@ -288,8 +343,9 @@ class TestSampling:
     def test_seed_domain(self):
         g = TimeGrid([0.0, 1.0])
         p = MixedDriverParams(hurst=0.7)
-        with pytest.raises(DomainError):
-            sample_msfbm(g, p, 10, seed=-1)
+        for seed in (-1, 2 ** 64):
+            with pytest.raises(DomainError, match="unsigned 64-bit"):
+                sample_msfbm(g, p, 10, seed=seed)
         with pytest.raises(DomainError):
             sample_msfbm(g, p, 0, seed=1)
 
