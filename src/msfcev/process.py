@@ -19,6 +19,7 @@ paths differ between ``OPENBLAS_NUM_THREADS=1`` and ``2``).
 from __future__ import annotations
 
 import math
+import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -248,7 +249,7 @@ def sample_msfbm(grid: TimeGrid, params: MixedDriverParams,
     """
     if n_paths < 1:
         raise DomainError("n_paths must be >= 1")
-    _check_seed(seed)
+    seed = _check_seed(seed)
     factor = _factor(covariance_matrix(grid, params))
     m = len(grid) - 1
     out = np.zeros((n_paths, m + 1))
@@ -317,10 +318,18 @@ def _worker_buffer(size: int) -> np.ndarray:
     return z
 
 
-def _check_seed(seed: int) -> None:
-    """Reject a seed that is not an unsigned 64-bit integer."""
+def _check_seed(seed) -> int:
+    """``seed`` as a Python int; ``DomainError`` unless an unsigned 64-bit integer.
+
+    numpy integers pass, as the int they hold; floats, even 5.0, do not.
+    """
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise DomainError(f"seed must be an unsigned 64-bit integer, got {seed!r}") from None
     if not 0 <= seed < 2 ** 64:
         raise DomainError("seed must be an unsigned 64-bit integer")
+    return seed
 
 
 def block_rng(seed: int, block: int) -> np.random.Generator:
@@ -330,8 +339,7 @@ def block_rng(seed: int, block: int) -> np.random.Generator:
     block index (high word), giving independent streams per block without
     any sequential jumping.
     """
-    _check_seed(seed)
-    return _philox(seed, block)
+    return _philox(_check_seed(seed), block)
 
 
 def _philox(seed: int, block: int) -> np.random.Generator:

@@ -14,12 +14,13 @@ evaluate through scipy's vectorised ufuncs: ``scipy.special.ive`` (Amos)
 for Bessel I, and for the chi-squared tails Boost's survival function
 (``scipy.special._ufuncs._ncx2_sf``, the kernel under
 ``scipy.stats.ncx2.sf``) and ``scipy.special.chndtr``, each of which keeps
-relative accuracy in its own tail down to about 1e-60; above a
-non-centrality of 1e5, and below 1e-60 from nc = 1 up, the tail is a
-Gauss-Legendre quadrature of the density, one batch of points per call.
-The public functions check their arguments and call the private ``_ive``
-or ``_chi2_tails``, which :mod:`msfcev.pricing` calls directly on inputs it
-has checked.  The Kummer functions come from ``scipy.special.hyp1f1``.
+relative accuracy in its own tail down to about 1e-60.  Above a
+non-centrality of 5e3, and below 1e-60 from nc = 1 up, the tail is a
+quadrature of the density, one batch of points per call: each point's
+span is sized from the fall of its whole log-integrand, and one 24-point
+Gauss-Legendre rule covers it.  The public functions check their
+arguments and call the private ``_ive`` or ``_chi2_tails``, which
+:mod:`msfcev.pricing` calls directly on inputs it has checked.
 
 Everything here is pure and reentrant.
 """
@@ -83,7 +84,7 @@ def bessel_i_scaled(order, z):
     The scaled form stays bounded for all admissible inputs, which is what
     the transition density needs.  Amos (``special.ive``) refuses z above
     2^30 and returns NaN; there Hankel's large-argument expansion takes
-    over, wherever its terms fall below 1e-17 of the sum within 30 terms.
+    over, wherever its terms fall below 1e-17 of the sum within 32 terms.
     """
     order = _checked(order, lambda v: v >= 0.0, "bessel_i_scaled requires order >= 0")
     z = _checked(z, _finite_non_negative, "bessel_i_scaled requires finite z >= 0")
@@ -101,21 +102,33 @@ def _ive(order, z) -> np.ndarray:
 
 
 def _ive_hankel(order: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """exp(-z) I_order(z) ~ (2 pi z)^(-1/2) sum_k (-1)^k a_k(order) / z^k.
+    """exp(-z) I_order(z) ~ (2 pi z)^(-1/2) sum_k a_k(order) (8z)^-k, by Horner's rule.
 
-    NaN where the terms do not fall below 1e-17 of the sum within 30 terms.
+    a_k = prod_{j <= k} ((2j - 1)^2 - 4 order^2) / j, and the arguments
+    broadcast.  The sum runs to the first k, at most 32, at which a bound
+    on every term, from the largest order and the smallest z, is below
+    1e-18; NaN where the last term is not below 1e-17 of the sum.
     """
     mu = 4.0 * np.square(order)
-    term = np.ones(z.shape)
-    total = term.copy()
+    inv_8z = 0.125 / z
+    mu_max, w_max = float(mu.max(initial=0.0)), float(inv_8z.max(initial=0.0))
+    coeffs, a, bound = [], 1.0, 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, 31):
-            term = -term * (mu - (2 * k - 1) ** 2) / (8.0 * k * z)
-            total += term
-            done = np.abs(term) <= 1e-17 * np.abs(total)
-            if done.all():
+        for k in range(1, 33):
+            a = a * (((2 * k - 1) ** 2 - mu) / k)
+            coeffs.append(a)
+            bound *= max(mu_max, (2 * k - 1) ** 2) / k * w_max
+            if bound <= 1e-18:
                 break
-    return np.where(done & np.isfinite(total), total, np.nan) / np.sqrt(2.0 * np.pi * z)
+        total = coeffs[-1] * inv_8z
+        for a in coeffs[-2::-1]:
+            total += a
+            total *= inv_8z
+        total += 1.0
+        if bound > 1e-18:  # not within 32 terms everywhere: test the last one
+            last = np.abs(coeffs[-1] * inv_8z ** len(coeffs))
+            total = np.where(last <= 1e-17 * np.abs(total), total, np.nan)
+    return total / np.sqrt(2.0 * np.pi * z)
 
 
 # ---------------------------------------------------------------------------
@@ -124,20 +137,44 @@ def _ive_hankel(order: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 # Above this non-centrality _tail_quadrature takes both tails.  The Poisson
 # series behind both kernels costs time growing with sqrt(nc) and loses
-# digits: 5e-12 at 8 sd from the mean at nc 1e5, 1e-8 at nc 1.4e8, and past
-# 1e9 Boost stops at its iteration cap.  The quadrature's cost does not grow
-# with nc, and from nc 1e5 up it stays within 6e-14 of mpmath.
-_SERIES_NC_MAX = 1e5
+# digits: 2e-13 at 8 sd from the mean at nc 5e3, 5e-12 at nc 1e5, 1e-8 at
+# nc 1.4e8, and past 1e9 Boost stops at its iteration cap.  The
+# quadrature's cost does not grow with nc: it prices a 40-strike slice
+# faster than the series from nc about 2e3 up.  The switch sits higher,
+# at 5e3, because at df 2002 the quadrature rests on ive(1000, z), which is
+# 1.6e-13 off at nc 3e3; from nc 5e3 up it stays within 7e-14 of mpmath.
+_SERIES_NC_MAX = 5e3
 
 # Below this value a series kernel's tail goes to _tail_quadrature too, at
-# nc >= 1, where the quadrature is within 5e-15 of 40-digit mpmath (below
+# nc >= 1, where the quadrature is within 6e-15 of 40-digit mpmath (below
 # nc = 1 Boost's survival function stays exact and the quadrature does not)
 _KERNEL_FLOOR = 1e-60
 
-# composite Gauss-Legendre rule on [0, 1]: four panels of 16 nodes
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_TAIL_NODES = ((np.arange(4.0)[:, None] + 0.5 * (_GAUSS_NODES + 1.0)) / 4.0).ravel()
-_TAIL_WEIGHTS = np.tile(_GAUSS_WEIGHTS, 4) / 8.0
+# Each tail is integrated over the span in which its log-integrand falls by
+# e^-_TAIL_FALL, on one 24-point Gauss-Legendre rule mapped to [0, 1]: nodes
+# and weights on [-1, 1] from 40-digit Newton iterations, correctly rounded
+# (numpy's leggauss(24) weights are 1e-13 off, which a tail that falls by
+# e^-40 turns into 2e-14 of its value).  On integrands exp(-a s - b s^2 / 2)
+# that fall by e^-36 to e^-45 over [0, 1] the rule is within 2e-16 of the
+# integral to infinity, and within 2e-14 at e^-60
+_TAIL_FALL = 42.0
+_GAUSS_HALF_NODES = np.array([
+    0.995187219997021360179997409700737, 0.974728555971309498198391993008169,
+    0.938274552002732758523649001708721, 0.886415527004401034213154341982197,
+    0.820001985973902921953949872669745, 0.740124191578554364243828103099978,
+    0.648093651936975569252495786910748, 0.545421471388839535658375617218372,
+    0.433793507626045138487084231913350, 0.315042679696163374386793291319810,
+    0.191118867473616309158639820757070, 0.064056892862605626085043082624745])
+_GAUSS_HALF_WEIGHTS = np.array([
+    0.012341229799987199546805667070037, 0.028531388628933663181307815951878,
+    0.044277438817419806168602748211338, 0.059298584915436780746367758500109,
+    0.073346481411080305734033615253117, 0.086190161531953275917185202983743,
+    0.097618652104113888269880664464247, 0.107444270115965634782577342446606,
+    0.115505668053725601353344483906784, 0.121670472927803391204463153476262,
+    0.125837456346828296121375382511184, 0.127938195346752156974056165224695])
+# ascending on [0, 1], so the first node sits next to the start of the span
+_TAIL_NODES = 0.5 * np.concatenate((1.0 - _GAUSS_HALF_NODES, 1.0 + _GAUSS_HALF_NODES[::-1]))
+_TAIL_WEIGHTS = 0.5 * np.concatenate((_GAUSS_HALF_WEIGHTS, _GAUSS_HALF_WEIGHTS[::-1]))
 
 
 def chi2_noncentral_sf_cdf(x, df, noncentrality, upper):
@@ -151,9 +188,9 @@ def chi2_noncentral_sf_cdf(x, df, noncentrality, upper):
     relative accuracy.  Two edges follow ``scipy.stats.ncx2.sf``, bit for
     bit: the survival function is 1 at x = 0 (where Boost returns -0.0),
     and at nc = 0 it is the central ``chdtrc`` (Boost's non-central tail is
-    an ulp off there).  The kernels run only up to nc = 1e5.  Every other
+    an ulp off there).  The kernels run only up to nc = 5e3.  Every other
     point goes to one quadrature of the density
-    (:func:`_tail_quadrature`), in one call: either tail above nc = 1e5,
+    (:func:`_tail_quadrature`), in one call: either tail above nc = 5e3,
     where both series grow slow and inexact, and any tail a kernel puts
     below 1e-60 at nc >= 1, where both kernels lose digits and return
     exactly 0 for some tails far above float64's floor.  A call with no
@@ -199,66 +236,80 @@ def _tail_quadrature(x, df, nc, upper):
 
     In u = sqrt(t) the density of chi2(df, nc) is
 
-        u (u/c)^nu exp(-(u - c)^2 / 2) ive(nu, u c),  c = sqrt(nc), nu = df/2 - 1,
+        f(u) = u (u/c)^nu exp(-(u - c)^2 / 2) ive(nu, u c),  c = sqrt(nc), nu = df/2 - 1.
 
-    close to a unit normal about sqrt(nc + df), the root of the mean, once
-    nc is large.  The tail on the far side of sqrt(x) from that centre is
-    integrated by the composite Gauss-Legendre rule over the span in which
-    exp(-(d + v)^2 / 2) falls by e^-40 from its value at v = 0, d the
-    distance of sqrt(x) from the centre; the other tail is one minus it.
-    The Bessel factor at the nodes is Hankel's expansion, 2-7 times as
-    fast as ``ive`` at z 1e5-1e8, wherever z >= 1e3 and its first term
-    ratio 4 nu^2 / 8z is at most 1, so that its terms only fall (there it
-    is within 3e-16 of 30-digit mpmath at orders 99 and 1000);
-    :func:`_ive` takes the other nodes and any where the expansion does
-    not converge.  The exponent's largest part,
-    -(sqrt(x) - sqrt(nc))^2 / 2, is taken in extended precision, so a tail
-    near 1e-160 keeps the digits a float64 rounding of it would cost (1e-13;
+    Bessel's uniform asymptotics give the slope and the bend of log f,
+
+        (log f)'  ~ (1 + nu + s) / u - u,
+        -(log f)'' ~ 1 + (1 + nu + nu^2 / s) / u^2,   s = sqrt(nu^2 + u^2 c^2),
+
+    and the bend falls as u grows, to 1.  The tail on the side of sqrt(x)
+    to which log f falls is integrated; the other tail is one minus it.
+    The span is the distance v over which slope v + bend v^2 / 2 reaches
+    42, with the bend taken at u = sqrt(x) below it and as 1 above it, so
+    that f falls by about e^-42 across it (by e^-41 to e^-61 on the
+    benchmark's tails and the test pins), and it stops at u = 0.  Sized
+    from the whole integrand, every span is one shape, and one 24-point
+    Gauss-Legendre rule fits them all (the 64 nodes of a span sized from
+    the Gaussian factor alone were too few where the power factor steepens
+    the fall, and too many elsewhere).  Each node is taken relative to
+    u = sqrt(x), so the common parts of log f cancel before they round.
+    The Bessel factor of a point is Hankel's expansion, 2-7 times as fast
+    as ``ive`` at z 1e5-1e8, where z >= 1e3 and its first term ratio
+    4 nu^2 / 8z is at most 1 at every node, so that its terms only fall
+    (there it is within 3e-16 of 30-digit mpmath at orders 99 and 1000);
+    :func:`_ive` takes the other points.  log f(sqrt(x)), which runs to
+    hundreds in deep tails, is taken in extended precision, so a tail near
+    1e-160 keeps the digits a float64 rounding of it would cost (1e-13;
     where ``np.longdouble`` is float64, that is what it costs).  Below
-    df = 2 the order is negative; ive(-nu, z) differs from ive(nu, z) by a
-    term in exp(-2z), and z = u c stays above ~nc at every node that counts.
+    df = 2 the order is negative; ive(-nu, z)
+    differs from ive(nu, z) by a term in exp(-2z), and z = u c stays above
+    ~nc at every node that counts.
     """
-    root_x, c, centre = np.sqrt(x), np.sqrt(nc), np.sqrt(nc + df)
-    d = (x - (nc + df)) / (root_x + centre)  # sqrt(x) - centre, no cancellation
-    above = d >= 0.0
-    span = np.sqrt(d * d + 80.0) - np.abs(d)
-    span = np.where(above, span, np.minimum(span, root_x))
-    gap = (x - nc) / (root_x + c)  # sqrt(x) - c
-    step = np.where(above, 1.0, -1.0)[:, None] * (span[:, None] * _TAIL_NODES)
-    u = root_x[:, None] + step  # > 0 at every node, as the span stops at u = 0
-    offset = gap[:, None] + step  # u - c
-    nu = 0.5 * df[:, None] - 1.0
+    root_x, c = np.sqrt(x), np.sqrt(nc)
+    half_df = 0.5 * df  # 1 + nu
+    nu = half_df - 1.0
     with np.errstate(divide="ignore", invalid="ignore"):  # x = 0: empty span
-        order = np.broadcast_to(np.abs(nu), u.shape)
-        z = c[:, None] * u
+        s = np.hypot(nu, c * root_x)
+        slope = (half_df + s) / root_x - root_x
+        above = slope < 0.0
+        bend = np.where(above, 1.0, 1.0 + (half_df + nu * nu / s) / x)
+        span = 2.0 * _TAIL_FALL / (np.abs(slope) + np.sqrt(
+            slope * slope + 2.0 * _TAIL_FALL * bend))
+        step = np.where(above, span, -np.fmin(span, root_x))[:, None] * _TAIL_NODES
+        gap = (x - nc) / (root_x + c)  # sqrt(x) - c
+        # log f(u) - log f(sqrt(x)) without the Bessel factor:
+        # (1 + nu) log(u / sqrt(x)) - step (gap + step / 2), step = u - sqrt(x)
+        log_f = (half_df[:, None] * np.log1p(step / root_x[:, None])
+                 - step * (gap[:, None] + 0.5 * step))
+        z = c[:, None] * (root_x[:, None] + step)  # > 0, as the span stops at u = 0
+        z_min = np.minimum(z[:, 0], z[:, -1])
         # first term ratio 4 nu^2 / 8z <= 1; below z = 1e3 the terms of small
-        # orders fall too slowly to stop within 30
-        hankel = (order * order <= 2.0 * z) & (z >= 1e3)
-        bessel = np.full(z.shape, np.nan)
-        if hankel.any():
-            bessel[hankel] = _ive_hankel(order[hankel], z[hankel])
-        log_f = np.log(u) + nu * np.log1p(offset / c[:, None])  # nu log(u / c)
-        # near u = 0, 1 + (u - c) / c rounds: there log u / c directly
-        coarse = (gap - span) / c < -0.5
-        if coarse.any():
-            u_c = u[coarse]
-            log_f[coarse] = np.log(u_c) + nu[coarse] * np.log(u_c / c[coarse, None])
-        # -(u - c)^2 / 2 = -gap^2 / 2 - step (gap + step / 2).  The first term
-        # runs to hundreds in deep tails, where one float64 rounding of it
-        # costs 1e-13 of the tail, so it is added back in extended precision
-        log_f -= step * (gap[:, None] + 0.5 * step)
-        slow = np.isnan(bessel)
-        if slow.any():  # ive, which can underflow where log f is large
-            log_f[slow] += np.log(_ive(order[slow], z[slow]))
-            bessel[slow] = 1.0
-        # the nodes are scaled by the first one, at u ~ sqrt(x), next to the
-        # integrand's peak, so neither the sum nor the scale over- or underflows
-        # where the tail itself does not
+        # orders fall too slowly to stop within 32
+        hankel = (nu * nu <= 2.0 * z_min) & (z_min >= 1e3)
+        if np.count_nonzero(hankel) == hankel.size:
+            bessel = _ive_hankel(nu[:, None], z)
+        else:  # ive, which can underflow where log f is large
+            bessel = np.ones(z.shape)
+            if hankel.any():
+                bessel[hankel] = _ive_hankel(nu[hankel, None], z[hankel])
+            slow = ~hankel
+            log_f[slow] += np.log(_ive(np.abs(nu[slow, None]), z[slow]))
+            # where ive underflows at the first node, next to the peak, but not
+            # at the last, the tail is lost: NaN says so, not a wrong number
+            log_f[np.isneginf(log_f[:, 0]) & np.isfinite(log_f[:, -1]), 0] = np.nan
+        # the nodes are scaled by the first one, next to the integrand's peak,
+        # so neither the sum nor the scale over- or underflows where the tail
+        # itself does not.  log f(sqrt(x)) = log sqrt(x) + nu log(sqrt(x) / c)
+        # - gap^2 / 2 runs to hundreds in deep tails, where one float64
+        # rounding of it costs 1e-13 of the tail, so it is taken in extended
+        # precision
         ref = log_f[:, 0]
-        ref = np.where(np.isfinite(ref), ref, 0.0)
         wide_x, wide_nc = x.astype(np.longdouble), nc.astype(np.longdouble)
         wide_gap = (wide_x - wide_nc) / (np.sqrt(wide_x) + np.sqrt(wide_nc))
-        scale = np.exp(ref - 0.5 * wide_gap * wide_gap).astype(np.float64)
+        scale = np.exp(ref + 0.5 * (np.log(wide_x) + nu * np.log(wide_x / wide_nc)
+                                    - wide_gap * wide_gap)).astype(np.float64)
+        ref = np.where(np.isfinite(ref), ref, 0.0)  # x = 0, or ive underflows
         # vecdot, unlike a matrix product, sums every row the same way
         # whatever the batch, so a point's tail does not depend on its company
         f = np.exp(log_f - ref[:, None]) * bessel

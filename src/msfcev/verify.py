@@ -28,7 +28,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .errors import DomainError, NumericalError
 from .pricing import (Driver, Family, MarketEnv, ModelSpec, _cev_coordinates,
@@ -139,6 +138,8 @@ def solve_fpe(model: ModelSpec, env: MarketEnv, maturity: float,
     (I - M_n) u_n = 2 u_n - (I + M_n) u_n = 2 u_n - rhs_n, so only the first
     step forms an explicit tridiagonal product.
     """
+    from scipy.linalg.lapack import dgtsv  # only here: it loads scipy.linalg
+
     if model.family != Family.CEV:
         raise DomainError("the forward-equation oracle covers the CEV family only")
     _check_maturity(maturity)

@@ -331,12 +331,18 @@ class TestColdStart:
                                          argv=argv) == []
 
     def test_bs_family_verify_leaves_scipy_integrate_out(self):
-        # Phi's quadrature, the one user of scipy.integrate, is CEV-only
+        # Phi's quadrature, the one user of scipy.integrate, is CEV-only, and
+        # only the forward equation's tridiagonal solves load scipy.linalg
         argv = ["verify", "--model", "msfbs", "--sigma", "0.2", "--hurst", "0.75",
                 "--rate", "0.05", "--spot", "100", "--strike", "105",
                 "--maturity", "0.5", "--seed", "3"]
         assert self.loaded_by_cli_import("scipy.integrate", "scipy.optimize",
-                                         argv=argv) == []
+                                         "scipy.linalg", argv=argv) == []
+
+    def test_oracle_module_leaves_scipy_linalg_out(self):
+        # solve_fpe imports LAPACK's gtsv when it runs
+        assert self.loaded_by_cli_import("scipy.linalg",
+                                         imports=("msfcev.verify",)) == []
 
     def test_compare_command_leaves_scipy_stats_out(self):
         argv = ["compare", "--input", SAMPLE_CHAIN,

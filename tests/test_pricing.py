@@ -415,7 +415,7 @@ class TestChainPrices:
     def test_call_prices_is_chain_prices_bit_for_bit(self, name, monkeypatch):
         # call_prices keeps the maturity and rate scalar; a chain carries them
         # per quote.  The CEV slices reach both quadrature routes: nc above
-        # 1e5 (alpha 1.99) and tails below the kernels' 1e-60 floor
+        # 5e3 (alpha 1.9 and 1.99) and tails below the kernels' 1e-60 floor
         quadrature, quad_ncs = specfun._tail_quadrature, []
 
         def spy(x, df, nc, upper):

@@ -349,6 +349,26 @@ class TestSampling:
         with pytest.raises(DomainError):
             sample_msfbm(g, p, 0, seed=1)
 
+    def test_numpy_integer_seeds_draw_the_int_seeds_paths(self):
+        # a seed is normalised to the Python int it holds before it keys the
+        # blocks, so numpy integers draw seed 5's bits over several blocks
+        # (np.uint64 and np.int64 overflowed in the key's block shift); a
+        # float, even 5.0, is not a seed
+        g = TimeGrid([0.0, 0.5, 1.0])
+        p = MixedDriverParams(hurst=0.7)
+        want = sample_msfbm(g, p, 2 * 4096 + 5, seed=5)
+        for seed in (np.uint64(5), np.int64(5), np.uint8(5)):
+            batch = sample_msfbm(g, p, 2 * 4096 + 5, seed=seed)
+            assert np.array_equal(batch.paths, want.paths)
+            assert type(batch.seed) is int and batch.seed == 5
+            assert np.array_equal(block_rng(seed, 1).standard_normal(3),
+                                  block_rng(5, 1).standard_normal(3))
+        for seed in (5.0, np.float64(5.0), "5", None):
+            with pytest.raises(DomainError, match="unsigned 64-bit"):
+                sample_msfbm(g, p, 10, seed=seed)
+            with pytest.raises(DomainError, match="unsigned 64-bit"):
+                block_rng(seed, 0)
+
 
 class TestPathBatchCsv:
     def test_header_and_roundtrip(self):

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath
@@ -350,13 +351,38 @@ class TestChi2Noncentral:
             assert chi2_noncentral_sf_cdf(0.0, 3.0, nc, upper=True) == 1.0
             assert chi2_noncentral_sf_cdf(0.0, 3.0, nc, upper=False) == 0.0
 
-    # (x, df, nc, upper, tail) 3 and 8 sd either side of the mean, at and
-    # just above the hand-off to the quadrature at nc = 1e5: 40-digit mpmath
-    # quadrature of the density in u = sqrt(x), a breakpoint at every unit.
-    # Centred on sqrt(nc) instead of the mean's root sqrt(nc + df), the
-    # quadrature integrated the wrong tail of the fourth df-2002 row (at x
-    # 3 sd below the mean) and was 2.2e-6 off
+    # (x, df, nc, upper, tail) 3 and 8 sd either side of the mean: 40-digit
+    # mpmath quadrature of the density in u = sqrt(x), a breakpoint at every
+    # unit.  The first 24 rows lie at the hand-off to the quadrature, nc =
+    # 5e3, where the series still takes them, and just above it; the rest,
+    # at nc 1e5 and 3e5, pin the quadrature where the series is 5e-12 off
+    # in 8-sd tails.  The fourth df-2002 row at nc 1e5, 3 sd below the mean,
+    # caught a quadrature that integrated the wrong tail (2.2e-6 off)
     HAND_OFF = [
+        (3871.4594572000524, 3.0, 5e3, False, 9.10396646490924888719738066302e-18),
+        (4578.6722964500195, 3.0, 5e3, False, 0.00110947048293237020818224230296),
+        (5427.3277035499805, 3.0, 5e3, True, 0.0016102574951455240346109736176),
+        (6134.540542799948, 3.0, 5e3, True, 1.48985988829908861637398585265e-14),
+        (4059.259434517178, 202.0, 5e3, False, 9.8827948155581291677656461577e-18),
+        (4773.472287943941, 202.0, 5e3, False, 0.00111323205765667556446771529163),
+        (5630.527712056059, 202.0, 5e3, True, 0.0016059038772526553322839830279),
+        (6344.740565482822, 202.0, 5e3, True, 1.4248780428129003309232001625e-14),
+        (5762.542053960684, 2002.0, 5e3, False, 1.79271864804987288918932216087e-17),
+        (6537.203270235256, 2002.0, 5e3, False, 0.001141510066904438533701596621),
+        (7466.796729764744, 2002.0, 5e3, True, 0.00157343232339119912801066658321),
+        (8241.457946039316, 2002.0, 5e3, True, 1.01341543854653193792291984606e-14),
+        (4763.490419561027, 3.0, 6e3, False, 1.39194536549857835134535512312e-17),
+        (5538.183907335385, 3.0, 6e3, False, 0.00112957978753775549274670826045),
+        (6467.816092664615, 3.0, 6e3, True, 0.00158682779258334116120294437168),
+        (7242.509580438973, 3.0, 6e3, True, 1.16509651977844391626164473017e-14),
+        (4952.257626548575, 202.0, 6e3, False, 1.47906745968712239993493642e-17),
+        (5733.346609955715, 202.0, 6e3, False, 0.00113247241668095692763242262749),
+        (6670.653390044285, 202.0, 6e3, True, 0.00158352215231697078983081425407),
+        (7451.742373451425, 202.0, 6e3, True, 1.12525463462435723751995201409e-14),
+        (6663.248342671427, 2002.0, 6e3, False, 2.33514885812635484411930399927e-17),
+        (7499.968128501785, 2002.0, 6e3, False, 0.00115483574369287586659780921035),
+        (8504.031871498215, 2002.0, 6e3, True, 0.00155812220239215976560442101368),
+        (9340.751657328572, 2002.0, 6e3, True, 8.5681931003150260676811839538e-15),
         (95139.80126822345, 202.0, 1e5, False, 2.69989562442136120752417499678e-16),
         (98303.6754755838, 202.0, 1e5, False, 0.00129438679326861899587797211097),
         (102100.3245244162, 202.0, 1e5, True, 0.00140640488822856447176379290909),
@@ -381,8 +407,8 @@ class TestChi2Noncentral:
                                    rtol=1e-13)
         np.testing.assert_allclose(
             _tail_quadrature(xs, dfs, ncs, ~uppers), 1.0 - refs, rtol=1e-15)
-        # above the switch the public route is the quadrature; at nc = 1e5
-        # it is still the series, whose 8-sd tails are 5e-12 off there
+        # above the switch the public route is the quadrature; at nc = 5e3
+        # it is still the series
         public = chi2_noncentral_sf_cdf(xs, dfs, ncs, upper=uppers)
         above = ncs > _SERIES_NC_MAX
         assert above.any() and not above.all()
@@ -460,10 +486,10 @@ class TestChi2Noncentral:
 
     def test_quadrature_meets_kernels_below_large_noncentrality(self):
         # where the series kernels still converge, the density quadrature
-        # that takes over above nc = 1e5 agrees with them within a standard
+        # that takes over above nc = 5e3 agrees with them within a standard
         # deviation or three of the mean, so the hand-off does not jump
         for df in (3.0, 2002.0):
-            for nc in (1e5, 3e5, 1e6):
+            for nc in (5e3, 1e4, 1e5, 3e5, 1e6):
                 sd = math.sqrt(2.0 * (df + 2.0 * nc))
                 xs = df + nc + sd * np.array([-3.0, -1.0, 0.0, 1.0, 3.0])
                 ones = np.ones(5)
@@ -472,6 +498,21 @@ class TestChi2Noncentral:
                                             np.full(5, upper))
                     np.testing.assert_allclose(quad, kernel(xs, df, nc),
                                                rtol=1e-11)
+
+    def test_tail_rule_is_gauss_legendre_correctly_rounded(self):
+        # the 24-point rule's nodes and weights are the float64 roundings of
+        # 40-digit values; numpy's leggauss(24) weights are 1e-13 off, which
+        # a tail that falls by e^-40 turns into 2e-14 of its value
+        with mpmath.workdps(40):
+            legendre = functools.partial(mpmath.legendre, 24)
+            for x0, w0 in zip(specfun._GAUSS_HALF_NODES,
+                              specfun._GAUSS_HALF_WEIGHTS):
+                x = mpmath.findroot(legendre, mpmath.mpf(x0))
+                slope = mpmath.diff(legendre, x)
+                assert float(x) == x0
+                assert float(2 / ((1 - x * x) * slope * slope)) == w0
+        assert np.all(np.diff(specfun._TAIL_NODES) > 0.0)
+        assert specfun._TAIL_WEIGHTS.sum() == pytest.approx(1.0, abs=1e-15)
 
     @staticmethod
     def _count_quadratures(monkeypatch):
@@ -486,7 +527,7 @@ class TestChi2Noncentral:
         return calls
 
     def test_one_quadrature_call_per_batch(self, monkeypatch):
-        # points above nc = 1e5 and kernel tails below 1e-60 go to the
+        # points above nc = 5e3 and kernel tails below 1e-60 go to the
         # quadrature together, in one call, with the bits each point gets
         # on its own; the kernel points in the batch (two ordinary tails,
         # and DEEP's last row, below nc = 1) stay out of it
@@ -501,7 +542,7 @@ class TestChi2Noncentral:
 
     def test_common_slice_makes_no_quadrature(self, monkeypatch):
         # a slice of the usual kind, strikes 10 to 600 on a spot of 100 at
-        # moderate alpha, has no nc above 1e5 and no tail below 1e-60
+        # moderate alpha, has no nc above 5e3 and no tail below 1e-60
         calls = self._count_quadratures(monkeypatch)
         model = ModelSpec.make("msfcev", sigma=3.0, alpha=1.2, hurst=0.75)
         prices = call_prices(model, MarketEnv(rate=0.03, spot=100.0), 0.5,

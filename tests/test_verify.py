@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from scipy import integrate
 
 from msfcev.errors import DomainError, NumericalError
@@ -123,7 +124,8 @@ class TestFpe:
         def singular(dl, d, du, b, **_):
             return dl, d, du, b, 1
 
-        monkeypatch.setattr(verify, "dgtsv", singular)
+        # solve_fpe imports gtsv from LAPACK's module when it runs
+        monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", singular)
         with pytest.raises(NumericalError, match="at step 1 "):
             solve_fpe(ModelSpec.make("cev", sigma=0.3, alpha=1.0), env100, 1.0,
                       FpeGrid(x_min=0.0, x_max=450.0, n_space=100, n_time=100))
