@@ -247,8 +247,9 @@ def _tail_quadrature(x, df, nc, upper):
     to which log f falls is integrated; the other tail is one minus it.
     The span is the distance v over which slope v + bend v^2 / 2 reaches
     42, with the bend taken at u = sqrt(x) below it and as 1 above it, so
-    that f falls by about e^-42 across it (by e^-41 to e^-61 on the
-    benchmark's tails and the test pins), and it stops at u = 0.  Sized
+    that f falls by about e^-42 across it (by e^-41 to e^-48 on the
+    benchmark's tails and the test pins, up to e^-61 at df 2002 and nc
+    1e3, where the bend at sqrt(x) is 1.5, not 1), and it stops at u = 0.  Sized
     from the whole integrand, every span is one shape, and one 24-point
     Gauss-Legendre rule fits them all (the 64 nodes of a span sized from
     the Gaussian factor alone were too few where the power factor steepens
