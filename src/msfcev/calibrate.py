@@ -54,7 +54,7 @@ from scipy.special import expit, logit
 from .errors import CalibrationError, ChainFormatError, DomainError
 from .pricing import (MODEL_NAMES, Driver, Family, MarketEnv, ModelSpec,
                       _chain_arrays, _clock, _clock_slope, _prices_at_clock,
-                      _quote_array, chain_prices)
+                      _quote_array)
 from .process import _check_seed
 
 __all__ = [
@@ -67,7 +67,6 @@ __all__ = [
     "free_parameters",
     "build_model",
     "load_chain",
-    "mse_objective",
     "fit",
     "compare_models",
     "synthetic_chain",
@@ -271,7 +270,7 @@ def write_chain_csv(chain: OptionChain, target) -> None:
 
 
 # ---------------------------------------------------------------------------
-# objective
+# quote arrays
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -317,24 +316,6 @@ def _quote_arrays(quotes) -> _Quotes:
                    strikes=strikes,
                    mids=_quote_array([q.mid_price for q in qs], "mid price"),
                    starts=np.flatnonzero(np.r_[True, rounded[1:] != rounded[:-1]]))
-
-
-def mse_objective(model_name: str, params, chain: OptionChain) -> float:
-    """Mean squared error of the model against the chain's mid prices.
-
-    Parameters the model rejects raise ``DomainError``; the fit box
-    ``PARAM_BOUNDS`` is not enforced here.
-    """
-    names = free_parameters(model_name)
-    vector = np.asarray(params, dtype=float)
-    if vector.shape != (len(names),):
-        raise DomainError(
-            f"{model_name} takes parameters {names}, got vector of "
-            f"shape {vector.shape}")
-    q = _quote_arrays(chain.quotes)
-    model = build_model(model_name, dict(zip(names, vector)))
-    res = chain_prices(model, q.spot, q.maturities, q.rates, q.strikes) - q.mids
-    return float(np.sum(res ** 2)) / res.size
 
 
 # ---------------------------------------------------------------------------

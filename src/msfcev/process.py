@@ -180,6 +180,7 @@ def increment_covariance(u: float, v: float, s: float, t: float,
 
     Positive for H > 1/2, negative for H < 1/2, zero at H = 1/2.
     """
+    _check_times(u, v, s, t)
     if not (t > s >= v > u >= 0.0):
         raise DomainError(
             f"need t > s >= v > u >= 0, got u={u}, v={v}, s={s}, t={t}")
@@ -198,6 +199,7 @@ def increment_variance(s: float, t: float, params: MixedDriverParams) -> float:
     sign (setting s = 0 must recover the marginal variance, and H = 1/2
     must recover t - s).
     """
+    _check_times(s, t)
     if not 0.0 <= s < t:
         raise DomainError(f"need 0 <= s < t, got s={s}, t={t}")
     h2 = 2.0 * params.hurst

@@ -7,10 +7,10 @@ Three routes that do not share code with the analytic pricing path:
   transition density;
 * Monte Carlo pricers (exact terminal sampling for the BS family, an
   Euler scheme for the classical CEV) checked against the closed forms;
-* a composite Gauss-Kronrod rule for the discounted payoff against the
-  transition density, checked against the chi-squared price formula, and
-  adaptive quadrature of the effective variance's defining integral,
-  checked against its closed form.
+* one composite 15-node Kronrod panel rule for two integrals: the
+  discounted payoff against the transition density, checked against the
+  chi-squared price formula, and the effective variance's defining
+  integral on fixed geometric panels, checked against its closed form.
 
 :func:`run_checks` runs these routes as the ``msfcev verify`` suite and
 returns one :class:`Check` row each; the suite's tolerances live only there.
@@ -32,8 +32,8 @@ import numpy as np
 from .errors import DomainError, NumericalError
 from .pricing import (Driver, Family, MarketEnv, ModelSpec, _cev_coordinates,
                       _check_cev, _check_maturity, _check_strike, _density,
-                      _subfractional_weight, call_price, diffusion_kernel,
-                      driver_variance, effective_variance, transition_density)
+                      call_price, diffusion_kernel, driver_variance,
+                      effective_variance, transition_density)
 from .process import block_rng
 
 __all__ = [
@@ -308,40 +308,6 @@ def mc_price_cev_classical(model: ModelSpec, env: MarketEnv, maturity: float,
                      (cfg.n_steps,), payoff)
 
 
-def effective_variance_quadrature(model: ModelSpec, env: MarketEnv,
-                                  maturity: float) -> float:
-    """Phi(T) by adaptive quadrature of its defining integral.
-
-        Phi(T) = sigma^2 (2-alpha)^2 * integral_0^T [beta^2/2
-                 + gamma^2 * lambda(T-u)] * exp((2-alpha) r u) du
-    """
-    from scipy import integrate  # only here: it loads all of scipy's optimizers
-
-    _check_cev(model)
-    _check_maturity(maturity)
-    p = model.driver_params
-    a = model.alpha
-    c = (2.0 - a) * env.rate
-    # diffusion_kernel(driver, H, t) = H t^(2H-1) w_H, its checks and
-    # constants hoisted out of the integrand: the model has validated H, and
-    # T - u >= 0 on [0, T]
-    kern = 0.5 * p.beta ** 2
-    mixed = p.gamma != 0.0 and model.driver != Driver.CLASSICAL
-    gamma2, hurst = p.gamma ** 2, p.hurst
-    power = 2.0 * hurst - 1.0
-    weight = _subfractional_weight(model.driver, hurst)
-
-    def integrand(u: float) -> float:
-        if mixed:
-            return ((kern + gamma2 * (hurst * (maturity - u) ** power * weight))
-                    * math.exp(c * u))
-        return kern * math.exp(c * u)
-
-    value, _ = integrate.quad(integrand, 0.0, maturity,
-                              epsabs=0.0, epsrel=1e-12, limit=500)
-    return model.sigma ** 2 * (2.0 - a) ** 2 * value
-
-
 # 15-node Kronrod rule on [-1, 1] and its embedded 7-node Gauss rule
 # (QUADPACK qk15), the Gauss weights zero at the Kronrod-only nodes
 _KRONROD_HALF = np.array([
@@ -365,6 +331,28 @@ _KRONROD_WEIGHTS = np.concatenate((_KRONROD_HALF_WEIGHTS[:-1],
 _GAUSS_WEIGHTS = np.concatenate((_GAUSS_HALF_WEIGHTS[:-1],
                                  _GAUSS_HALF_WEIGHTS[::-1]))
 _TINY = float(np.finfo(np.float64).tiny)  # smallest normal float64
+# Phi's panel edges in s = T - u over T, shrinking to s = 0 where s^(2H-1) bends
+_PHI_EDGES = np.concatenate(([0.0], 0.25 ** np.arange(23, -1, -1)))
+
+
+def _kronrod(edges: np.ndarray, integrand, what: str) -> float:
+    """The 15-node Kronrod rule on every panel between ``edges``, summed.
+
+    ``integrand`` takes the (panels, 15) array of all nodes in one call.
+    The error estimate is the summed gap between each panel's Kronrod and
+    embedded Gauss values, so it costs no node; a non-finite value, or an
+    estimate above 1e-6 of a normal value, raises ``NumericalError``.
+    """
+    half = 0.5 * np.diff(edges)
+    f = integrand(edges[:-1, None] + half[:, None] * (1.0 + _KRONROD_NODES))
+    kronrod = half * (f @ _KRONROD_WEIGHTS)
+    value = float(kronrod.sum())
+    err = float(np.abs(kronrod - half * (f @ _GAUSS_WEIGHTS)).sum())
+    # a subnormal value carries too few digits for a relative error test
+    if not math.isfinite(value) or (value >= _TINY and err > 1e-6 * value):
+        raise NumericalError(
+            f"{what} quadrature did not converge: value={value!r}, err={err!r}")
+    return value
 
 
 def _scale_and_spot(model: ModelSpec, env: MarketEnv, maturity: float):
@@ -384,9 +372,8 @@ def quadrature_price(model: ModelSpec, env: MarketEnv, maturity: float,
     d = max(u_K - centre, 0), in equal panels at most min(1, 2/d) wide.
     Near u = 0 the integrand is a non-integer power of u, so a first panel
     that starts within its own width of 0 is split in eight, halving
-    towards 0.  Every panel takes the 15-node Kronrod rule, all nodes
-    through one array call of the density, and the error estimate is the
-    summed gap between each panel's Kronrod and embedded Gauss values.
+    towards 0.  Every panel takes :func:`_kronrod`, all nodes through one
+    array call of the density.
     """
     if model.family != Family.CEV:
         raise DomainError("quadrature_price covers the CEV family only")
@@ -404,19 +391,39 @@ def quadrature_price(model: ModelSpec, env: MarketEnv, maturity: float,
     if lo < edges[1] - lo:
         graded = edges[1] * 0.5 ** np.arange(8, 0, -1)
         edges = np.concatenate(([lo], graded[graded > lo], edges[1:]))
-    half = 0.5 * np.diff(edges)
-    u = edges[:-1, None] + half[:, None] * (1.0 + _KRONROD_NODES)
-    w = u * u
-    s_t = (w / k_s) ** nu
-    f = (s_t - strike) * _density(a, k_s, y_s, w) * (2.0 * nu * s_t / u)
-    kronrod = half * (f @ _KRONROD_WEIGHTS)
-    value = float(kronrod.sum())
-    err = float(np.abs(kronrod - half * (f @ _GAUSS_WEIGHTS)).sum())
-    # a subnormal value carries too few digits for a relative error test
-    if not math.isfinite(value) or (value >= _TINY and err > 1e-6 * value):
-        raise NumericalError(
-            f"payoff quadrature did not converge: value={value!r}, err={err!r}")
-    return math.exp(-env.rate * maturity) * value
+
+    def integrand(u: np.ndarray) -> np.ndarray:
+        w = u * u
+        s_t = (w / k_s) ** nu
+        return (s_t - strike) * _density(a, k_s, y_s, w) * (2.0 * nu * s_t / u)
+
+    return math.exp(-env.rate * maturity) * _kronrod(edges, integrand, "payoff")
+
+
+def effective_variance_quadrature(model: ModelSpec, env: MarketEnv,
+                                  maturity: float) -> float:
+    """Phi(T) by the Kronrod panel rule on its defining integral.
+
+        Phi(T) = sigma^2 (2-alpha)^2 * integral_0^T [beta^2/2
+                 + gamma^2 * lambda(s)] * exp((2-alpha) r (T-s)) ds
+
+    in s = T - u, on the 24 panels T [0, 4^-23, 4^-22, ..., 4^-1, 1] of
+    :func:`_kronrod`; the kernel lambda comes from one call of
+    :func:`diffusion_kernel` on all nodes.
+    """
+    _check_cev(model)
+    _check_maturity(maturity)
+    p = model.driver_params
+    c = (2.0 - model.alpha) * env.rate
+
+    def integrand(s: np.ndarray) -> np.ndarray:
+        # a classical driver has gamma = 0 (see ModelSpec)
+        kern = 0.5 * p.beta ** 2 + p.gamma ** 2 * diffusion_kernel(
+            model.driver, p.hurst, s)
+        return kern * np.exp(c * (maturity - s))
+
+    value = _kronrod(maturity * _PHI_EDGES, integrand, "Phi")
+    return model.sigma ** 2 * (2.0 - model.alpha) ** 2 * value
 
 
 def _mc_check(name: str, mc: McResult, price: float) -> Check:

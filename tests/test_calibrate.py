@@ -106,36 +106,29 @@ class TestLoadChain:
 
 
 class TestObjective:
+    """The MSE a fit minimizes, as the sum of squares of _Problem's residuals."""
+
+    @staticmethod
+    def residuals(chain, values):
+        names = cal.free_parameters("msfcev")
+        problem = cal._Problem("msfcev", names, cal._quote_arrays(chain.quotes))
+        return problem(problem.coordinates(values))
+
     def test_zero_at_generating_parameters(self, msfcev_chain):
-        assert cal.mse_objective("msfcev", [0.3, 1.2, 0.75], msfcev_chain) == 0.0
+        res = self.residuals(msfcev_chain, [0.3, 1.2, 0.75])
+        assert res.size == len(msfcev_chain.quotes)
+        assert np.all(res == 0.0)
 
     def test_perturbed_sigma_positive(self, msfcev_chain):
-        assert cal.mse_objective("msfcev", [0.33, 1.2, 0.75], msfcev_chain) > 0.0
+        assert np.sum(self.residuals(msfcev_chain, [0.33, 1.2, 0.75]) ** 2) > 0.0
 
-    def test_reorder_invariance(self, msfcev_chain):
-        base = cal.mse_objective("msfcev", [0.31, 1.1, 0.8], msfcev_chain)
+    def test_reorder_invariance(self, msfcev_chain, quick_optimizer):
         quotes = list(msfcev_chain.quotes)
         random.Random(4).shuffle(quotes)
         shuffled = cal.OptionChain(quote_date=msfcev_chain.quote_date,
                                    quotes=tuple(quotes))
-        assert cal.mse_objective("msfcev", [0.31, 1.1, 0.8], shuffled) == base
-
-    def test_rejected_parameters_raise(self, msfcev_chain):
-        with pytest.raises(DomainError):
-            cal.mse_objective("msfcev", [0.3, 1.2, 0.3], msfcev_chain)
-
-    def test_outside_fit_box_is_plain_mse(self, msfcev_chain):
-        # sigma 9 is a valid model outside PARAM_BOUNDS: no box penalty
-        assert 9.0 > cal.PARAM_BOUNDS["sigma"][1]
-        model = ModelSpec.make("msfcev", sigma=9.0, alpha=1.2, hurst=0.75)
-        q = cal._quote_arrays(msfcev_chain.quotes)
-        res = chain_prices(model, q.spot, q.maturities, q.rates, q.strikes) - q.mids
-        assert cal.mse_objective("msfcev", [9.0, 1.2, 0.75], msfcev_chain) == \
-            float(np.sum(res ** 2)) / res.size
-
-    def test_wrong_vector_shape(self, msfcev_chain):
-        with pytest.raises(DomainError):
-            cal.mse_objective("msfcev", [0.3, 1.2], msfcev_chain)
+        assert cal.fit(shuffled, "msfcev", "joint", quick_optimizer) == \
+            cal.fit(msfcev_chain, "msfcev", "joint", quick_optimizer)
 
     def test_free_parameters_catalog(self):
         assert cal.free_parameters("bs") == ("sigma",)
@@ -162,7 +155,7 @@ _BAD_QUOTES = ([("strike", v, "strikes must be positive") for v in
 @pytest.mark.parametrize("field,value,message", _BAD_QUOTES)
 def test_bad_quote_rejected_where_it_enters(small_chain, quick_optimizer, name,
                                             params, field, value, message):
-    """fit, mse_objective and compare_models check a hand-built chain's quotes."""
+    """fit and compare_models check a hand-built chain's quotes."""
     quotes = list(small_chain.quotes)
     quotes[3] = dataclasses.replace(quotes[3], **{field: value})
     chain = cal.OptionChain(quote_date=small_chain.quote_date,
@@ -170,8 +163,6 @@ def test_bad_quote_rejected_where_it_enters(small_chain, quick_optimizer, name,
     for mode in ("joint", "per_maturity"):
         with pytest.raises(DomainError, match=message):
             cal.fit(chain, name, mode, quick_optimizer)
-    with pytest.raises(DomainError, match=message):
-        cal.mse_objective(name, params, chain)
     (row,) = cal.compare_models(chain, [name], "joint", quick_optimizer)
     assert row.failed and row.error.startswith(message)
 
@@ -496,7 +487,7 @@ class TestClockStart:
         def no_pricing(*args):
             raise AssertionError("stage 2 priced")
 
-        for fn in ("chain_prices", "_prices_at_clock", "_clock_slope"):
+        for fn in ("_prices_at_clock", "_clock_slope"):  # calibrate's pricing calls
             monkeypatch.setattr(cal, fn, no_pricing)
         stage1, v, values = _clock_case(name, dict(values, hurst=hurst),
                                         maturities, rate)

@@ -304,7 +304,7 @@ class TestColdStart:
 
     def test_fit_and_oracle_modules_leave_scipy_optimize_out(self):
         # fits run their own trust-region solver and H search, and the oracles
-        # import scipy.integrate, which loads scipy.optimize, only to use it
+        # integrate on their own Kronrod panels
         assert self.loaded_by_cli_import(
             "scipy.optimize", "scipy.integrate",
             imports=("msfcev.calibrate", "msfcev.verify")) == []
@@ -330,12 +330,16 @@ class TestColdStart:
         assert self.loaded_by_cli_import("scipy.optimize", "scipy.linalg",
                                          argv=argv) == []
 
-    def test_bs_family_verify_leaves_scipy_integrate_out(self):
-        # Phi's quadrature, the one user of scipy.integrate, is CEV-only, and
-        # only the forward equation's tridiagonal solves load scipy.linalg
-        argv = ["verify", "--model", "msfbs", "--sigma", "0.2", "--hurst", "0.75",
-                "--rate", "0.05", "--spot", "100", "--strike", "105",
-                "--maturity", "0.5", "--seed", "3"]
+    @pytest.mark.parametrize("point", [
+        ["--model", "msfbs", "--sigma", "0.2", "--hurst", "0.75", "--rate", "0.05",
+         "--spot", "100", "--strike", "105", "--maturity", "0.5"],
+        ["--model", "msfcev", "--sigma", "0.3", "--alpha", "1.2", "--hurst", "0.75",
+         "--rate", "0.05", "--spot", "100", "--strike", "105", "--maturity", "0.5"],
+    ], ids=["bs", "cev"])
+    def test_verify_leaves_scipy_integrate_out(self, point):
+        # both quadratures run on verify's own Kronrod panels, and only the
+        # forward equation's tridiagonal solves load scipy.linalg
+        argv = ["verify", *point, "--seed", "3"]
         assert self.loaded_by_cli_import("scipy.integrate", "scipy.optimize",
                                          "scipy.linalg", argv=argv) == []
 

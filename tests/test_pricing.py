@@ -224,16 +224,18 @@ class TestEffectiveVariance:
                           * mpmath.hyp1f1(1, 1.0 + 2.0 * h, z)))
                 assert abs(phi - ref) <= 1e-15 * ref
 
-    @pytest.mark.parametrize("name,h", [("msfcev", 0.55), ("msfcev", 0.7),
-                                        ("mfcev", 0.9), ("cev", 0.5)])
+    @pytest.mark.parametrize("name,h", [("msfcev", 0.51), ("msfcev", 0.55),
+                                        ("msfcev", 0.7), ("mfcev", 0.9),
+                                        ("mfcev", 0.999), ("cev", 0.5)])
     @pytest.mark.parametrize("alpha,t,rate", [(0.5, 0.25, 0.05), (1.0, 2.0, 0.05),
-                                              (1.5, 1.0, 0.0)])
+                                              (1.5, 1.0, 0.0), (1.999, 0.01, 0.2),
+                                              (1.999, 10.0, 0.0), (0.0, 10.0, 0.2)])
     def test_closed_matches_quadrature(self, name, h, alpha, t, rate):
         env = MarketEnv(rate=rate, spot=100.0)
         m = make(name, alpha=alpha, hurst=h)
         closed = effective_variance(m, env, t)
         quad = effective_variance_quadrature(m, env, t)
-        assert closed == pytest.approx(quad, rel=1e-9)
+        assert closed == pytest.approx(quad, rel=1e-14, abs=0.0)
 
     def test_monotonic_in_t_and_sigma(self, env100):
         m = make("msfcev", alpha=1.2, hurst=0.7)

@@ -64,11 +64,15 @@ class TestCovariances:
     @pytest.mark.parametrize("s,t", [(math.nan, 1.0), (1.0, math.inf),
                                      (-1.0, 1.0)])
     def test_bad_times_rejected(self, s, t):
-        # NaN and inf would come back as a NaN covariance
+        # NaN and inf would come back as a NaN covariance or variance
         with pytest.raises(DomainError, match="times must be finite and >= 0"):
             sfbm_covariance(s, t, 0.7)
         with pytest.raises(DomainError, match="times must be finite and >= 0"):
             msfbm_covariance(t, s, MixedDriverParams(hurst=0.7))
+        with pytest.raises(DomainError, match="times must be finite and >= 0"):
+            increment_variance(s, t, MixedDriverParams(hurst=0.7))
+        with pytest.raises(DomainError, match="times must be finite and >= 0"):
+            increment_covariance(0.0, 0.5, s, t, MixedDriverParams(hurst=0.7))
 
     @pytest.mark.parametrize("params", [
         MixedDriverParams(hurst=0.7, beta=1.0, gamma=0.0),

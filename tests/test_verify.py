@@ -493,6 +493,14 @@ class TestQuadraturePrice:
         with pytest.raises(NumericalError, match="did not converge"):
             quadrature_price(m, env100, 0.5, 100.0)
 
+    def test_phi_error_estimate_raises(self, env100, monkeypatch):
+        # Phi's integral goes through the same guard as the payoff's
+        monkeypatch.setattr(verify, "diffusion_kernel",
+                            lambda driver, hurst, t: np.full(np.shape(t), math.nan))
+        m = ModelSpec.make("msfcev", sigma=0.3, alpha=1.2, hurst=0.75)
+        with pytest.raises(NumericalError, match="Phi quadrature did not converge"):
+            effective_variance_quadrature(m, env100, 0.5)
+
     def test_subnormal_value_does_not_trip_the_estimate(self, env100):
         # a price below float64's smallest normal number carries too few
         # digits for a relative error test; the oracle returns it
